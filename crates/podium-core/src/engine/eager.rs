@@ -4,6 +4,13 @@
 //! implementation in [`crate::greedy`] (which now delegates here); only the
 //! adjacency representation changed, so selections — users, gains, score,
 //! covered counts — are bit-for-bit the same.
+//!
+//! The `FirstUser` argmax is *ceiling-bounded*: marginals only ever
+//! decrease, so the previous round's maximum bounds every current
+//! marginal from above, and the first available user reaching it is the
+//! first-index argmax. Tie-heavy and post-saturation rounds stop after a
+//! few users instead of scanning all `n`; the selected sequence is that of
+//! the full scan.
 
 use crate::greedy::{Selection, TieBreak};
 use crate::ids::UserId;
@@ -15,16 +22,32 @@ use super::csr::CsrGraph;
 /// Eager greedy selection of at most `b` users, maintaining every
 /// candidate's marginal contribution decrementally (lines 2–10 of
 /// Algorithm 1).
+///
+/// `should_stop(selected)` is polled before the initial scan and after
+/// every committed round that leaves the budget unfilled; a `true` return
+/// ends the run, and the flag returned beside the selection is `false`
+/// iff that happened. The partial selection is exactly the greedy prefix
+/// of the full run.
 pub(super) fn eager_select<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
     b: usize,
     eligible: Option<&[bool]>,
     tie_break: TieBreak,
-) -> Selection<W> {
+    should_stop: &mut dyn FnMut(usize) -> bool,
+) -> (Selection<W>, bool) {
     let n = csr.user_count();
     if let Some(e) = eligible {
         assert_eq!(e.len(), n, "one eligibility flag per user");
+    }
+    if should_stop(0) {
+        let empty = Selection::from_parts(
+            Vec::new(),
+            Vec::new(),
+            W::zero(),
+            vec![0u32; csr.group_count()],
+        );
+        return (empty, false);
     }
     let weights = inst.weights();
 
@@ -54,12 +77,13 @@ pub(super) fn eager_select<W: ScoreValue>(
     let mut gains = Vec::with_capacity(b.min(n));
     let mut score = W::zero();
     let mut covered_counts = vec![0u32; csr.group_count()];
+    let mut completed = true;
 
     // Lines 3–10.
     for _ in 0..b {
-        // Line 5: argmax over available users.
+        // Line 5: argmax over available users, bounded by the last gain.
         let best = match tie_break {
-            TieBreak::FirstUser => argmax_first(&marg, &available),
+            TieBreak::FirstUser => argmax_first(&marg, &available, gains.last()),
             TieBreak::Seeded(_) => argmax_seeded(&marg, &available, &mut rng_state),
         };
         let Some(u) = best else { break }; // line 4: pool exhausted
@@ -89,19 +113,38 @@ pub(super) fn eager_select<W: ScoreValue>(
                 }
             }
         }
+        if users.len() < b && should_stop(users.len()) {
+            completed = false;
+            break;
+        }
     }
 
-    Selection::from_parts(users, gains, score, covered_counts)
+    (
+        Selection::from_parts(users, gains, score, covered_counts),
+        completed,
+    )
 }
 
 /// First-index argmax: ties go to the smallest user id (strictly-greater
 /// replacement test, so `a > b` — i.e. `partial_cmp == Some(Greater)` —
 /// is the exact replacement condition).
-fn argmax_first<W: ScoreValue>(marg: &[W], available: &[bool]) -> Option<usize> {
+///
+/// `ceiling` is the previous round's maximum. No marginal exceeds it, so
+/// the first available user at or above it (`partial_cmp` is `Equal` or
+/// `Greater`) is the answer and the scan stops there; incomparable values
+/// keep scanning.
+fn argmax_first<W: ScoreValue>(
+    marg: &[W],
+    available: &[bool],
+    ceiling: Option<&W>,
+) -> Option<usize> {
     let mut best: Option<(usize, &W)> = None;
     for (u, (m, &ok)) in marg.iter().zip(available).enumerate() {
         if !ok {
             continue;
+        }
+        if ceiling.is_some_and(|c| m >= c) {
+            return Some(u);
         }
         let replace = match best {
             None => true,
@@ -154,4 +197,30 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Any valid ceiling (at or above the available maximum) leaves the
+    /// first-index argmax unchanged, ties and all.
+    #[test]
+    fn ceiling_never_changes_the_argmax() {
+        let mut state = 5u64;
+        for _ in 0..500 {
+            let len = 1 + (splitmix64(&mut state) % 40) as usize;
+            let marg: Vec<f64> = (0..len)
+                .map(|_| (splitmix64(&mut state) % 4) as f64)
+                .collect();
+            let available: Vec<bool> = (0..len)
+                .map(|_| !splitmix64(&mut state).is_multiple_of(4))
+                .collect();
+            let full = argmax_first(&marg, &available, None);
+            let max = full.map_or(0.0, |u| marg[u]);
+            for ceiling in [max, max + 1.0] {
+                assert_eq!(argmax_first(&marg, &available, Some(&ceiling)), full);
+            }
+        }
+    }
 }

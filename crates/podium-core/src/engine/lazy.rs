@@ -67,12 +67,6 @@ impl<W: ScoreValue> Ord for HeapEntry<W> {
     }
 }
 
-/// The round tag given to warm-start seed entries: never equal to the
-/// current round (rounds count committed selections, bounded by the user
-/// count, which [`CsrGraph`] keeps below `u32::MAX`), so every seed is
-/// refreshed to its exact marginal before it can be committed.
-const SEED_ROUND: u32 = u32::MAX;
-
 /// Sequential CELF: one-at-a-time refresh, single-threaded initial gains.
 pub(super) fn lazy_select<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
@@ -85,65 +79,10 @@ pub(super) fn lazy_select<W: ScoreValue>(
         csr,
         b,
         eligible,
-        None,
         1,
         |candidates: &[u32], eval: &(dyn Fn(u32) -> W + Sync)| {
             candidates.iter().map(|&u| eval(u)).collect()
         },
-        None,
-    )
-    .0
-}
-
-/// CELF with a warm-started heap: the round-0 candidate scan is replaced
-/// by caller-provided `(user, bound)` seeds — one per candidate — where
-/// each bound must be an upper bound on that user's round-0 marginal
-/// gain. Seeds enter the heap tagged [`SEED_ROUND`], so they are always
-/// stale: each is re-evaluated exactly before any commit, which keeps the
-/// selection bit-identical to the unseeded run for *any* valid bounds.
-/// See [`super::lazy_select_seeded_deadline`] for the public contract.
-pub(super) fn lazy_select_seeded_interruptible<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    seeds: &[(u32, W)],
-    should_stop: &mut dyn FnMut(usize) -> bool,
-) -> (Selection<W>, bool) {
-    lazy_core(
-        inst,
-        csr,
-        b,
-        None,
-        Some(seeds),
-        1,
-        |candidates: &[u32], eval: &(dyn Fn(u32) -> W + Sync)| {
-            candidates.iter().map(|&u| eval(u)).collect()
-        },
-        Some(should_stop),
-    )
-}
-
-/// Sequential CELF with an interrupt hook polled between greedy rounds —
-/// the deadline mechanism of serving callers. See
-/// [`super::lazy_select_deadline`] for the contract.
-pub(super) fn lazy_select_interruptible<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    eligible: Option<&[bool]>,
-    should_stop: &mut dyn FnMut(usize) -> bool,
-) -> (Selection<W>, bool) {
-    lazy_core(
-        inst,
-        csr,
-        b,
-        eligible,
-        None,
-        1,
-        |candidates: &[u32], eval: &(dyn Fn(u32) -> W + Sync)| {
-            candidates.iter().map(|&u| eval(u)).collect()
-        },
-        Some(should_stop),
     )
 }
 
@@ -162,12 +101,9 @@ pub(super) fn lazy_select_parallel<W: ScoreValue>(
         csr,
         b,
         eligible,
-        None,
         par::refresh_burst_cap(),
         |ids: &[u32], eval: &(dyn Fn(u32) -> W + Sync)| par::map_gains(ids, eval),
-        None,
     )
-    .0
 }
 
 /// The shared CELF loop, generic over the batch evaluation strategy.
@@ -175,30 +111,14 @@ pub(super) fn lazy_select_parallel<W: ScoreValue>(
 /// `evaluate(candidates, eval)` must return `eval(u)` for every candidate
 /// in input order; the sequential and scoped-thread strategies only differ
 /// in scheduling.
-///
-/// `seeds`, when present, replaces the round-0 scan: the heap is built
-/// from the given `(user, upper bound)` pairs tagged [`SEED_ROUND`] (i.e.
-/// permanently stale), enumerating the full candidate set — mutually
-/// exclusive with `eligible`. Since commits only ever happen on fresh
-/// entries, and any stale pop is refreshed to its exact marginal first,
-/// valid upper bounds yield the same selection the scan would.
-///
-/// `interrupt`, when present, is polled with the number of committed
-/// selections before the initial scan and after every committed round; a
-/// `true` return stops the loop. The second component of the return value
-/// is `false` iff the loop was stopped early this way — the partial
-/// selection is still exactly the greedy prefix of the full run.
-#[allow(clippy::too_many_arguments)]
 fn lazy_core<W, E>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
     b: usize,
     eligible: Option<&[bool]>,
-    seeds: Option<&[(u32, W)]>,
     burst_cap: usize,
     evaluate: E,
-    mut interrupt: Option<&mut dyn FnMut(usize) -> bool>,
-) -> (Selection<W>, bool)
+) -> Selection<W>
 where
     W: ScoreValue,
     E: Fn(&[u32], &(dyn Fn(u32) -> W + Sync)) -> Vec<W>,
@@ -206,20 +126,6 @@ where
     let n = csr.user_count();
     if let Some(e) = eligible {
         assert_eq!(e.len(), n, "one eligibility flag per user");
-        assert!(
-            seeds.is_none(),
-            "seeds enumerate the candidate set themselves; combine them \
-             with an eligibility filter by omitting ineligible users"
-        );
-    }
-    if interrupt.as_mut().is_some_and(|stop| stop(0)) {
-        let sel = Selection::from_parts(
-            Vec::new(),
-            Vec::new(),
-            W::zero(),
-            vec![0u32; csr.group_count()],
-        );
-        return (sel, false);
     }
     let weights = inst.weights();
     let mut cov_rem: Vec<u32> = inst.covs().to_vec();
@@ -239,41 +145,27 @@ where
         gain
     };
 
-    // Round-0 bounds: either caller-provided seed bounds (warm start, no
-    // scan) or the exact initial marginals — the one full scan this
-    // algorithm performs, and the main parallelization target.
-    let mut heap: BinaryHeap<HeapEntry<W>> = match seeds {
-        Some(seeds) => seeds
-            .iter()
-            .map(|(user, gain)| HeapEntry {
-                gain: gain.clone(),
-                user: *user,
-                round: SEED_ROUND,
-            })
-            .collect(),
-        None => {
-            let candidates: Vec<u32> = (0..n as u32)
-                .filter(|&u| eligible.is_none_or(|e| e[u as usize]))
-                .collect();
-            let initial = evaluate(&candidates, &|u| fresh_gain(u, &cov_rem));
-            candidates
-                .iter()
-                .zip(initial)
-                .map(|(&user, gain)| HeapEntry {
-                    gain,
-                    user,
-                    round: 0,
-                })
-                .collect()
-        }
-    };
+    // Round-0 bounds: the exact initial marginals — the one full scan
+    // this algorithm performs, and the main parallelization target.
+    let candidates: Vec<u32> = (0..n as u32)
+        .filter(|&u| eligible.is_none_or(|e| e[u as usize]))
+        .collect();
+    let initial = evaluate(&candidates, &|u| fresh_gain(u, &cov_rem));
+    let mut heap: BinaryHeap<HeapEntry<W>> = candidates
+        .iter()
+        .zip(initial)
+        .map(|(&user, gain)| HeapEntry {
+            gain,
+            user,
+            round: 0,
+        })
+        .collect();
 
     let mut users = Vec::with_capacity(b.min(n));
     let mut gains = Vec::with_capacity(b.min(n));
     let mut score = W::zero();
     let mut covered_counts = vec![0u32; csr.group_count()];
     let mut round = 0u32;
-    let mut completed = true;
 
     while users.len() < b {
         let Some(top) = heap.pop() else { break };
@@ -290,10 +182,6 @@ where
                 }
             }
             round += 1;
-            if users.len() < b && interrupt.as_mut().is_some_and(|stop| stop(users.len())) {
-                completed = false;
-                break;
-            }
             continue;
         }
         // Stale upper bound: refresh and reinsert. The classic cap-1 CELF
@@ -329,10 +217,7 @@ where
         }
     }
 
-    (
-        Selection::from_parts(users, gains, score, covered_counts),
-        completed,
-    )
+    Selection::from_parts(users, gains, score, covered_counts)
 }
 
 #[cfg(test)]
@@ -371,112 +256,13 @@ mod tests {
         let seq = |ids: &[u32], eval: &(dyn Fn(u32) -> f64 + Sync)| -> Vec<f64> {
             ids.iter().map(|&u| eval(u)).collect()
         };
-        let reference = lazy_core(&inst, &csr, 10, None, None, 1, seq, None).0;
+        let reference = lazy_core(&inst, &csr, 10, None, 1, seq);
         for cap in [2usize, 3, 7, 64, 4096] {
-            let sel = lazy_core(&inst, &csr, 10, None, None, cap, seq, None).0;
+            let sel = lazy_core(&inst, &csr, 10, None, cap, seq);
             assert_eq!(sel.users, reference.users, "cap {cap}");
             assert_eq!(sel.gains, reference.gains, "cap {cap}");
             assert_eq!(sel.score, reference.score, "cap {cap}");
             assert_eq!(sel.covered_counts, reference.covered_counts, "cap {cap}");
         }
-    }
-
-    /// Seeding with any valid upper bounds — exact initial gains, loose
-    /// bounds, or a mix — must reproduce the unseeded selection exactly.
-    #[test]
-    fn seeded_heap_is_bit_identical_for_any_valid_bounds() {
-        let mut state = 99u64;
-        let mut next = move |m: usize| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) % m as u64) as usize
-        };
-        let users = 35;
-        let memberships: Vec<Vec<UserId>> = (0..50)
-            .map(|_| {
-                let mut m: Vec<UserId> = (0..1 + next(8))
-                    .map(|_| UserId(next(users) as u32))
-                    .collect();
-                m.sort();
-                m.dedup();
-                m
-            })
-            .collect();
-        let groups = GroupSet::from_memberships(users, memberships);
-        let csr = CsrGraph::from_group_set(&groups);
-        for (w, c) in [
-            (WeightScheme::LinearBySize, CovScheme::Proportional),
-            (WeightScheme::Identical, CovScheme::Single),
-        ] {
-            let inst = DiversificationInstance::from_schemes(&groups, w, c, 9);
-            let reference = lazy_select(&inst, &csr, 9, None);
-            // Exact initial gains as seeds.
-            let exact: Vec<(u32, f64)> = (0..users as u32)
-                .map(|u| {
-                    let gain: f64 = csr
-                        .groups_of(u as usize)
-                        .iter()
-                        .map(|&g| inst.weights()[g as usize])
-                        .sum();
-                    (u, gain)
-                })
-                .collect();
-            // Loosened bounds: per-user slack never changes the result.
-            let loose: Vec<(u32, f64)> = exact
-                .iter()
-                .map(|&(u, g)| (u, g + (u % 7) as f64))
-                .collect();
-            for seeds in [&exact, &loose] {
-                let (sel, completed) =
-                    lazy_select_seeded_interruptible(&inst, &csr, 9, seeds, &mut |_| false);
-                assert!(completed);
-                assert_eq!(sel.users, reference.users, "{w:?}/{c:?}");
-                assert_eq!(sel.gains, reference.gains, "{w:?}/{c:?}");
-                assert_eq!(sel.score, reference.score, "{w:?}/{c:?}");
-                assert_eq!(sel.covered_counts, reference.covered_counts, "{w:?}/{c:?}");
-            }
-            // Seeded + interrupt still yields the exact greedy prefix.
-            let (partial, completed) =
-                lazy_select_seeded_interruptible(&inst, &csr, 9, &exact, &mut |k| k >= 3);
-            assert!(!completed);
-            assert_eq!(partial.users, reference.users[..3]);
-        }
-    }
-
-    /// Interrupting after `k` committed rounds must yield exactly the
-    /// uninterrupted selection's length-`k` greedy prefix.
-    #[test]
-    fn interrupt_yields_exact_greedy_prefix() {
-        let users = 25;
-        let memberships: Vec<Vec<UserId>> = (0..30)
-            .map(|g| {
-                (0..users)
-                    .filter(|u| (u * 7 + g * 3) % 5 == 0)
-                    .map(|u| UserId(u as u32))
-                    .collect()
-            })
-            .collect();
-        let groups = GroupSet::from_memberships(users, memberships);
-        let inst = DiversificationInstance::from_schemes(
-            &groups,
-            WeightScheme::LinearBySize,
-            CovScheme::Single,
-            8,
-        );
-        let csr = CsrGraph::from_group_set(&groups);
-        let full = lazy_select(&inst, &csr, 8, None);
-        for k in 0..full.users.len() {
-            let (partial, completed) =
-                lazy_select_interruptible(&inst, &csr, 8, None, &mut |done| done >= k);
-            assert!(!completed, "stop at {k} must report incompletion");
-            assert_eq!(partial.users, full.users[..k], "prefix at {k}");
-            assert_eq!(partial.gains, full.gains[..k], "gains at {k}");
-        }
-        let (all, completed) = lazy_select_interruptible(&inst, &csr, 8, None, &mut |_| false);
-        assert!(completed);
-        assert_eq!(all.users, full.users);
-        assert_eq!(all.score, full.score);
-        assert_eq!(all.covered_counts, full.covered_counts);
     }
 }

@@ -17,10 +17,16 @@
 //!   the [`EngineVariant::LazyHeapParallel`] paths; with the feature off
 //!   those paths fall back to the sequential implementation.
 //!
-//! Complexity: eager greedy is `O(|E| + B·n + Σ_{covered G} |G|)`; the
-//! lazy heap replaces the `B·n` argmax scans and the member-side updates
-//! with `O(|E|)` heapify plus `O(r·(log n + deg))` for the `r` entries it
-//! actually refreshes — typically `r ≪ n` (the CELF effect).
+//! Complexity: eager greedy is `O(|E| + B·n + Σ_{covered G} |G|)`, where
+//! the `B·n` argmax scans are ceiling-bounded — a round whose maximum
+//! equals the previous one stops at the first user reaching it, so
+//! tie-heavy and post-saturation rounds end after a few users. The lazy heap
+//! replaces the argmax scans and the member-side updates with `O(|E|)`
+//! heapify plus `O(r·(log n + deg))` for the `r` entries it actually
+//! refreshes. `r ≪ n` when bounds separate (the CELF effect); when many
+//! near-tied bounds crowd the heap top, `r` grows to thousands per round
+//! and the eager kernel wins — which is why [`eager_select_deadline`]
+//! serves selects and [`lazy_select_csr`] stays the reference.
 
 pub mod anneal;
 pub mod constrained;
@@ -126,7 +132,7 @@ impl<'i, W: ScoreValue> SelectionEngine<'i, W> {
     /// Eager greedy (Algorithm 1) with an optional eligibility filter and
     /// tie-break policy.
     pub fn eager(&self, b: usize, eligible: Option<&[bool]>, tie_break: TieBreak) -> Selection<W> {
-        eager::eager_select(self.inst, &self.csr, b, eligible, tie_break)
+        eager::eager_select(self.inst, &self.csr, b, eligible, tie_break, &mut |_| false).0
     }
 
     /// Sequential CELF lazy greedy. `FirstUser` tie-break only — for
@@ -171,20 +177,22 @@ pub fn lazy_select_csr<W: ScoreValue>(
     lazy::lazy_select(inst, csr, b, eligible)
 }
 
-/// [`lazy_select_csr`] with a deadline hook: `should_stop(selected)` is
-/// polled before the initial candidate scan and after every committed
-/// greedy round, with the number of users selected so far. Returning
-/// `true` stops the run; the returned flag is `false` iff that happened.
+/// Eager greedy (Algorithm 1, `FirstUser` ties) against a prebuilt CSR
+/// graph, with a deadline hook: `should_stop(selected)` is polled before
+/// the initial candidate scan and after every committed greedy round, with
+/// the number of users selected so far. Returning `true` stops the run;
+/// the returned flag is `false` iff that happened.
 ///
 /// An interrupted selection is still exactly the greedy *prefix* of the
 /// full run — submodularity gives it the usual `(1 − 1/e)` guarantee for
 /// its own (smaller) budget — so serving callers can either return the
 /// partial result marked as truncated or map it to a deadline error.
-pub fn lazy_select_deadline<W: ScoreValue>(
+/// Under exact score arithmetic the selection is bit-identical to
+/// [`lazy_select_csr`].
+pub fn eager_select_deadline<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
     b: usize,
-    eligible: Option<&[bool]>,
     should_stop: &mut dyn FnMut(usize) -> bool,
 ) -> (Selection<W>, bool) {
     debug_assert_eq!(csr.user_count(), inst.user_count(), "csr/instance users");
@@ -193,39 +201,7 @@ pub fn lazy_select_deadline<W: ScoreValue>(
         inst.groups().len(),
         "csr/instance groups"
     );
-    lazy::lazy_select_interruptible(inst, csr, b, eligible, should_stop)
-}
-
-/// [`lazy_select_deadline`] with a warm-started CELF heap for incremental
-/// serving: instead of the `O(|E|)` round-0 candidate scan, the heap is
-/// seeded from `seeds` — one `(user, bound)` pair per candidate, where
-/// each bound is an *upper bound* on that user's round-0 marginal gain
-/// (for the schemes shipped in [`crate::weights`], the round-0 gain is
-/// `Σ_{G ∋ u} w_G`, since every group starts with positive remaining
-/// coverage). Writers that maintain these bounds across epochs — exact
-/// re-computation for users whose memberships changed, monotone slack for
-/// the rest — make the first selection on a freshly published epoch skip
-/// the full scan.
-///
-/// Every seed enters the heap permanently stale, so it is re-evaluated to
-/// its exact marginal before it can be committed: for any valid bounds the
-/// selection is **bit-identical** to [`lazy_select_csr`] (same users,
-/// gains, score, and covered counts, under the `FirstUser` tie-break). A
-/// bound *below* the true round-0 gain voids that guarantee.
-pub fn lazy_select_seeded_deadline<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    seeds: &[(u32, W)],
-    should_stop: &mut dyn FnMut(usize) -> bool,
-) -> (Selection<W>, bool) {
-    debug_assert_eq!(csr.user_count(), inst.user_count(), "csr/instance users");
-    debug_assert_eq!(
-        csr.group_count(),
-        inst.groups().len(),
-        "csr/instance groups"
-    );
-    lazy::lazy_select_seeded_interruptible(inst, csr, b, seeds, should_stop)
+    eager::eager_select(inst, csr, b, None, TieBreak::FirstUser, should_stop)
 }
 
 /// Crate-internal one-shot helpers for the delegating legacy entry points
@@ -242,7 +218,7 @@ pub(crate) fn eager_once<W: ScoreValue>(
         inst.validate().unwrap_err()
     );
     let csr = CsrGraph::from_group_set(inst.groups());
-    eager::eager_select(inst, &csr, b, eligible, tie_break)
+    eager::eager_select(inst, &csr, b, eligible, tie_break, &mut |_| false).0
 }
 
 /// One-shot sequential lazy greedy (see [`eager_once`]).
@@ -295,27 +271,48 @@ mod tests {
         GroupSet::from_memberships(users, memberships)
     }
 
+    fn assert_same<W: ScoreValue + PartialEq>(a: &Selection<W>, b: &Selection<W>, ctx: &str) {
+        assert_eq!(a.users, b.users, "{ctx}");
+        assert_eq!(a.gains, b.gains, "{ctx}");
+        assert_eq!(a.score, b.score, "{ctx}");
+        assert_eq!(a.covered_counts, b.covered_counts, "{ctx}");
+    }
+
+    /// The ceiling-bounded eager kernel equals CELF bit for bit: both
+    /// weight schemes (`Identical` makes ties the rule), budgets past
+    /// saturation up to the whole population, and eligibility masks.
     #[test]
     fn all_variants_agree_exactly() {
+        let n = 30;
         for seed in 0..12 {
-            let g = random_groups(seed, 30, 45);
-            let inst = DiversificationInstance::from_schemes(
-                &g,
-                WeightScheme::LinearBySize,
-                CovScheme::Proportional,
-                6,
-            );
-            let engine = SelectionEngine::new(&inst);
-            let eager = engine.select(EngineVariant::Eager, 6);
-            for variant in [EngineVariant::LazyHeap, EngineVariant::LazyHeapParallel] {
-                let sel = engine.select(variant, 6);
-                assert_eq!(sel.users, eager.users, "seed {seed} {variant:?}");
-                assert_eq!(sel.gains, eager.gains, "seed {seed} {variant:?}");
-                assert_eq!(sel.score, eager.score, "seed {seed} {variant:?}");
-                assert_eq!(
-                    sel.covered_counts, eager.covered_counts,
-                    "seed {seed} {variant:?}"
-                );
+            let g = random_groups(seed, n, 45);
+            for (w, c) in [
+                (WeightScheme::LinearBySize, CovScheme::Proportional),
+                (WeightScheme::LinearBySize, CovScheme::Single),
+                (WeightScheme::Identical, CovScheme::Single),
+                (WeightScheme::Identical, CovScheme::Proportional),
+            ] {
+                for b in [1, 6, 15, n, n + 3] {
+                    let inst = DiversificationInstance::from_schemes(&g, w, c, b);
+                    let engine = SelectionEngine::new(&inst);
+                    let lazy = engine.select(EngineVariant::LazyHeap, b);
+                    let ctx = format!("seed {seed} {w:?}/{c:?} b={b}");
+                    for variant in [EngineVariant::Eager, EngineVariant::LazyHeapParallel] {
+                        let sel = engine.select(variant, b);
+                        assert_same(&sel, &lazy, &format!("{ctx} {variant:?}"));
+                    }
+                    let (served, completed) =
+                        eager_select_deadline(&inst, engine.csr(), b, &mut |_| false);
+                    assert!(completed);
+                    assert_same(&served, &lazy, &format!("{ctx} deadline"));
+                    let mask: Vec<bool> = (0..n)
+                        .map(|u| !(u * 7 + seed as usize).is_multiple_of(3))
+                        .collect();
+                    let eager = engine.eager(b, Some(&mask), TieBreak::FirstUser);
+                    let lazy = engine.lazy(b, Some(&mask));
+                    assert_same(&eager, &lazy, &format!("{ctx} masked"));
+                    assert!(eager.users.iter().all(|u| mask[u.index()]), "{ctx}");
+                }
             }
         }
     }
@@ -376,12 +373,47 @@ mod tests {
         let csr = CsrGraph::from_group_set(&g);
         let via_csr = lazy_select_csr(&inst, &csr, 6, None);
         assert_eq!(via_csr, via_engine);
-        let (complete, finished) = lazy_select_deadline(&inst, &csr, 6, None, &mut |_| false);
+        let (complete, finished) = eager_select_deadline(&inst, &csr, 6, &mut |_| false);
         assert!(finished);
         assert_eq!(complete, via_engine);
-        let (truncated, finished) = lazy_select_deadline(&inst, &csr, 6, None, &mut |k| k >= 2);
+        let (truncated, finished) = eager_select_deadline(&inst, &csr, 6, &mut |k| k >= 2);
         assert!(!finished);
         assert_eq!(truncated.users, via_engine.users[..2]);
+    }
+
+    /// Interrupting after `k` committed rounds must yield exactly the
+    /// uninterrupted selection's length-`k` greedy prefix.
+    #[test]
+    fn interrupt_yields_exact_greedy_prefix() {
+        let users = 25;
+        let memberships: Vec<Vec<UserId>> = (0..30)
+            .map(|g| {
+                (0..users)
+                    .filter(|u| (u * 7 + g * 3) % 5 == 0)
+                    .map(|u| UserId(u as u32))
+                    .collect()
+            })
+            .collect();
+        let groups = GroupSet::from_memberships(users, memberships);
+        let inst = DiversificationInstance::from_schemes(
+            &groups,
+            WeightScheme::LinearBySize,
+            CovScheme::Single,
+            8,
+        );
+        let csr = CsrGraph::from_group_set(&groups);
+        let full = lazy_select_csr(&inst, &csr, 8, None);
+        for k in 0..full.users.len() {
+            let (partial, completed) = eager_select_deadline(&inst, &csr, 8, &mut |done| done >= k);
+            assert!(!completed, "stop at {k} must report incompletion");
+            assert_eq!(partial.users, full.users[..k], "prefix at {k}");
+            assert_eq!(partial.gains, full.gains[..k], "gains at {k}");
+        }
+        let (all, completed) = eager_select_deadline(&inst, &csr, 8, &mut |_| false);
+        assert!(completed);
+        assert_eq!(all.users, full.users);
+        assert_eq!(all.score, full.score);
+        assert_eq!(all.covered_counts, full.covered_counts);
     }
 
     #[test]

@@ -23,8 +23,8 @@ use std::time::Instant;
 
 use podium_core::bucket::PropertyBuckets;
 use podium_core::engine::{
-    anneal_refine, constrained_lazy_select, constraint_fingerprint, lazy_select_deadline,
-    lazy_select_seeded_deadline, AnnealSchedule, CsrGraph, Quota, QuotaSet,
+    anneal_refine, constrained_lazy_select, constraint_fingerprint, eager_select_deadline,
+    AnnealSchedule, CsrGraph, Quota, QuotaSet,
 };
 use podium_core::greedy::Selection;
 use podium_core::group::GroupSet;
@@ -105,14 +105,14 @@ pub struct SelectOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PublishMode {
     /// Delta-aware publishing: patch the previous epoch's CSR in place on
-    /// a recycled buffer, maintain warm CELF seed bounds, carry forward
-    /// unaffected memoized selects, and recycle the repository copy. The
-    /// published snapshots are bit-identical to [`PublishMode::FullRebuild`]'s.
+    /// a recycled buffer, carry forward unaffected memoized selects, and
+    /// recycle the repository copy. The published snapshots are
+    /// bit-identical to [`PublishMode::FullRebuild`]'s.
     #[default]
     Incremental,
     /// Rebuild every published structure from the incremental state and
     /// clone the repository afresh — the honest baseline the drift
-    /// benchmark compares against. No seeds, no memo carry.
+    /// benchmark compares against. No memo carry.
     FullRebuild,
 }
 
@@ -227,8 +227,8 @@ pub struct Snapshot {
     /// the per-request cost is one memcpy instead of a group scan.
     lbs_weights: Vec<f64>,
     /// Memoized select outcomes for this epoch, keyed by the full request
-    /// parameters. Sound because the snapshot is immutable and lazy greedy
-    /// is deterministic: identical parameters against the same epoch can
+    /// parameters. Sound because the snapshot is immutable and the greedy
+    /// kernel is deterministic: identical parameters against the same epoch can
     /// only ever produce the identical selection. Serving workloads repeat
     /// a small set of parameter combinations, so after one computation per
     /// epoch the hot path degenerates to a lookup + clone; publishing a new
@@ -239,11 +239,6 @@ pub struct Snapshot {
     /// score lower bound is unaffected by the intervening deltas. Served
     /// only under the `stale_ok` read mode; immutable after assembly.
     carried: Vec<(SelectParams, SelectOutcome)>,
-    /// Warm CELF seed bounds per user under `Identical` weights (empty
-    /// when the epoch was published without seeds — cold scan instead).
-    seeds_iden: Vec<f64>,
-    /// Warm CELF seed bounds per user under `LinearBySize` weights.
-    seeds_lbs: Vec<f64>,
     /// Build breakdown of this epoch's publish.
     build: EpochBuildStats,
     cache_hits: AtomicU64,
@@ -261,8 +256,6 @@ struct SnapshotParts {
     repo: UserRepository,
     groups: GroupSet,
     csr: CsrGraph,
-    seeds_iden: Vec<f64>,
-    seeds_lbs: Vec<f64>,
     carried: Vec<(SelectParams, SelectOutcome)>,
     build: EpochBuildStats,
 }
@@ -278,8 +271,6 @@ impl Snapshot {
             lbs_weights,
             select_cache: Mutex::new(Vec::new()),
             carried: parts.carried,
-            seeds_iden: parts.seeds_iden,
-            seeds_lbs: parts.seeds_lbs,
             build: parts.build,
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
@@ -316,8 +307,8 @@ impl Snapshot {
         }
     }
 
-    /// Runs lazy greedy against the prebuilt CSR graph, checking `deadline`
-    /// between greedy rounds. A deadline hit maps to
+    /// Runs eager greedy (Algorithm 1) against the prebuilt CSR graph,
+    /// checking `deadline` between greedy rounds. A deadline hit maps to
     /// [`ServiceError::DeadlineExceeded`]; the partial prefix is discarded.
     pub fn select(
         &self,
@@ -367,22 +358,10 @@ impl Snapshot {
         let weights = self.weights_for(params.weight);
         let covs = params.cov.cov(&self.groups, params.budget);
         let inst = DiversificationInstance::new(&self.groups, weights, covs);
-        let seeds = self.seed_pairs(params.weight);
-        let (selection, completed) = match (&seeds, deadline) {
-            (Some(s), d) => {
-                let mut stop = move |_: usize| d.is_some_and(|d| Instant::now() >= d);
-                lazy_select_seeded_deadline(&inst, &self.csr, params.budget, s, &mut stop)
-            }
-            (None, Some(d)) => {
-                lazy_select_deadline(&inst, &self.csr, params.budget, None, &mut |_| {
-                    Instant::now() >= d
-                })
-            }
-            (None, None) => (
-                podium_core::engine::lazy_select_csr(&inst, &self.csr, params.budget, None),
-                true,
-            ),
-        };
+        let (selection, completed) =
+            eager_select_deadline(&inst, &self.csr, params.budget, &mut |_| {
+                deadline.is_some_and(|d| Instant::now() >= d)
+            });
         if !completed {
             return Err(ServiceError::DeadlineExceeded);
         }
@@ -465,25 +444,6 @@ impl Snapshot {
         };
         self.memoize(params, &outcome);
         Ok(outcome)
-    }
-
-    /// The warm-start seed pairs for `scheme`, when this epoch was
-    /// published with seed bounds covering every user.
-    fn seed_pairs(&self, scheme: WeightScheme) -> Option<Vec<(u32, f64)>> {
-        let bounds = match scheme {
-            WeightScheme::Identical => &self.seeds_iden,
-            WeightScheme::LinearBySize => &self.seeds_lbs,
-        };
-        if bounds.len() != self.csr.user_count() {
-            return None;
-        }
-        Some(
-            bounds
-                .iter()
-                .enumerate()
-                .map(|(u, &bound)| (UserId::from_index(u).0, bound))
-                .collect(),
-        )
     }
 
     /// All memoized outcomes reachable on this epoch: fresh entries first,
@@ -624,8 +584,6 @@ pub struct RepositoryWriter {
     dirty: bool,
     /// Updates applied since the last publish (the next epoch's batch).
     pending_updates: u64,
-    /// Warm CELF seed bounds maintained across incremental publishes.
-    seeds: SeedState,
     /// Retired epochs whose buffers we may reclaim once readers drop
     /// their references.
     retired: Vec<Arc<Snapshot>>,
@@ -682,23 +640,6 @@ struct PublishRecord {
     updates: Option<Vec<LoggedUpdate>>,
 }
 
-/// Writer-side warm-start seed bounds (see
-/// [`podium_core::engine::lazy_select_seeded_deadline`]): exact for users
-/// the delta touched, monotone-slack upper bounds for the rest.
-#[derive(Debug, Default)]
-struct SeedState {
-    iden: Vec<f64>,
-    lbs: Vec<f64>,
-    /// Incremental publishes since the LBS bounds were last recomputed
-    /// exactly; slack accumulates monotonically, so they are rebuilt every
-    /// [`LBS_EXACT_REBUILD_EVERY`] epochs to stay tight.
-    epochs_since_exact: u32,
-}
-
-/// How many slack-maintained publishes may pass before the LBS seed
-/// bounds are recomputed exactly.
-const LBS_EXACT_REBUILD_EVERY: u32 = 16;
-
 /// Carried memos older than this many epochs are invalidated even if no
 /// delta touched their covered groups — the bounded part of bounded
 /// staleness.
@@ -735,18 +676,12 @@ impl RepositoryWriter {
         let inc = IncrementalGroups::build(&repo, buckets);
         let groups = inc.snapshot();
         let csr = inc.snapshot_csr();
-        let mut seeds = SeedState::default();
-        if mode == PublishMode::Incremental {
-            rebuild_seeds_exact(&inc, &mut seeds);
-        }
         let snap = Arc::new(Snapshot::assemble(
             0,
             SnapshotParts {
                 repo: repo.clone(),
                 groups,
                 csr,
-                seeds_iden: seeds.iden.clone(),
-                seeds_lbs: seeds.lbs.clone(),
                 carried: Vec::new(),
                 build: EpochBuildStats::default(),
             },
@@ -760,7 +695,6 @@ impl RepositoryWriter {
             mode,
             dirty: false,
             pending_updates: 0,
-            seeds,
             retired: Vec::new(),
             recycled: Vec::new(),
             pending_log: Vec::new(),
@@ -927,10 +861,9 @@ impl RepositoryWriter {
     /// In [`PublishMode::Incremental`] the epoch is built from the batch's
     /// [`EpochDelta`]: the CSR is patched in place on a recycled buffer
     /// (falling back to a rebuild when the group universe changed shape),
-    /// the repository copy reuses a retired epoch's allocations, warm CELF
-    /// seed bounds are maintained per changed user, and memoized selects
-    /// covering no dirty group are carried forward with their certified
-    /// score lower bound.
+    /// the repository copy reuses a retired epoch's allocations, and
+    /// memoized selects covering no dirty group are carried forward with
+    /// their certified score lower bound.
     pub fn publish(&mut self) -> u64 {
         let started = Instant::now();
         self.epoch += 1;
@@ -976,10 +909,6 @@ impl RepositoryWriter {
             build.full_rebuild_micros = elapsed_micros(csr_started);
         }
         build.patched = patched;
-
-        if incremental {
-            self.maintain_seeds(&delta, &prev, patched);
-        }
 
         let mut carried = Vec::new();
         if incremental && patched {
@@ -1047,16 +976,6 @@ impl RepositoryWriter {
                 repo,
                 groups: std::mem::take(&mut parts.groups),
                 csr: std::mem::take(&mut parts.csr),
-                seeds_iden: if incremental {
-                    self.seeds.iden.clone()
-                } else {
-                    Vec::new()
-                },
-                seeds_lbs: if incremental {
-                    self.seeds.lbs.clone()
-                } else {
-                    Vec::new()
-                },
                 carried,
                 build,
             },
@@ -1168,61 +1087,6 @@ impl RepositoryWriter {
         }
     }
 
-    /// Maintains the warm seed bounds across one incremental publish.
-    /// Changed users get exact values; everyone else's LBS bound grows by
-    /// the total growth of the dirty groups (a uniform slack that keeps
-    /// the bound an upper bound without touching O(n) memberships).
-    /// Unpatchable deltas — and every [`LBS_EXACT_REBUILD_EVERY`]-th
-    /// publish, to shed accumulated slack — trigger an exact O(E) rebuild.
-    fn maintain_seeds(&mut self, delta: &EpochDelta, prev: &Snapshot, patched: bool) {
-        let n = self.inc.user_count();
-        if !patched
-            || self.seeds.iden.len() != n
-            || self.seeds.epochs_since_exact >= LBS_EXACT_REBUILD_EVERY
-        {
-            rebuild_seeds_exact(&self.inc, &mut self.seeds);
-            return;
-        }
-        let dirty_ids = self.inc.dirty_group_ids(delta);
-        debug_assert_eq!(
-            dirty_ids.len(),
-            delta.dirty_slots().len(),
-            "patchable deltas have no empty dirty slots"
-        );
-        let mut slack = 0.0f64;
-        for (&(p, b), &g) in delta.dirty_slots().iter().zip(&dirty_ids) {
-            let new_len = self.inc.members(p, b).len();
-            let old_len = prev
-                .csr()
-                .members_of(usize::try_from(g).unwrap_or(usize::MAX))
-                .len();
-            // Group sizes are bounded by the u32 user count, so the
-            // growth converts to f64 exactly.
-            let grown = new_len.saturating_sub(old_len);
-            slack += f64::from(u32::try_from(grown).unwrap_or(u32::MAX));
-        }
-        if slack > 0.0 {
-            let changed = delta.changed_users();
-            let mut ci = 0usize;
-            for (u, bound) in self.seeds.lbs.iter_mut().enumerate() {
-                // podium-lint: allow(index) — guarded by ci < changed.len() in the same condition
-                if ci < changed.len() && changed[ci].index() == u {
-                    ci += 1;
-                    continue;
-                }
-                *bound += slack;
-            }
-        }
-        for &u in delta.changed_users() {
-            let (degree, sizes) = self.inc.seed_gains_of(u);
-            // podium-lint: allow(index) — seed vectors are resized to the user count on every publish
-            self.seeds.iden[u.index()] = degree;
-            // podium-lint: allow(index) — same bound: lbs has one slot per user
-            self.seeds.lbs[u.index()] = sizes;
-        }
-        self.seeds.epochs_since_exact += 1;
-    }
-
     /// Publishes only if updates were applied since the last publish.
     pub fn publish_if_dirty(&mut self) -> Option<u64> {
         self.dirty.then(|| self.publish())
@@ -1272,21 +1136,6 @@ fn replay_updates(updates: &[LoggedUpdate], target: &mut UserRepository) {
             }
         }
     }
-}
-
-/// Recomputes both seed-bound vectors exactly from the incremental state.
-fn rebuild_seeds_exact(inc: &IncrementalGroups, seeds: &mut SeedState) {
-    let n = inc.user_count();
-    seeds.iden.clear();
-    seeds.lbs.clear();
-    seeds.iden.reserve(n);
-    seeds.lbs.reserve(n);
-    for u in 0..n {
-        let (degree, sizes) = inc.seed_gains_of(UserId::from_index(u));
-        seeds.iden.push(degree);
-        seeds.lbs.push(sizes);
-    }
-    seeds.epochs_since_exact = 0;
 }
 
 #[cfg(test)]

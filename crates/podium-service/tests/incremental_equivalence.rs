@@ -1,5 +1,5 @@
-//! Delta-equivalence property: an incremental writer (CSR patching, warm
-//! CELF seeds, memo carrying) and a full-rebuild writer fed the same
+//! Delta-equivalence property: an incremental writer (CSR patching,
+//! recycled buffers, memo carrying) and a full-rebuild writer fed the same
 //! update stream publish **bit-identical** epochs.
 //!
 //! At every published epoch the two paths must agree on
@@ -14,8 +14,8 @@
 //! tweaks, bucket moves, retractions, brand-new users (unpatchable
 //! deltas), empty-delta publishes (consecutive publish points), and
 //! full-churn batches that touch every user. Deterministic companions
-//! below pin the two riskiest regimes — long runs that cross the
-//! periodic exact seed-rebuild boundary, and every-user churn.
+//! below pin the two riskiest regimes — long runs of consecutive
+//! patchable publishes, and every-user churn.
 
 use podium_core::bucket::BucketingConfig;
 use podium_core::ids::UserId;
@@ -210,9 +210,8 @@ fn full_churn_batches_stay_equivalent() {
     replay(8, &[13, 0, 47, 66, 91, 25, 58, 80], &ops);
 }
 
-/// Crosses the periodic exact-seed-rebuild boundary: many consecutive
-/// single-user, patchable publishes so the uniform LBS slack accumulates
-/// for well over `LBS_EXACT_REBUILD_EVERY` epochs.
+/// Many consecutive single-user, patchable publishes: forty epochs in a
+/// row, each patched from the one before.
 #[test]
 fn long_patchable_runs_stay_equivalent_across_seed_rebuilds() {
     let ops: Vec<Op> = (0..40)
