@@ -19,5 +19,4 @@ pub mod intrinsic_exp;
 pub mod opinion_exp;
 pub mod scalability_exp;
 pub mod selectors;
-pub mod serving_exp;
 pub mod table2_exp;

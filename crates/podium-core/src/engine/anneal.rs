@@ -49,7 +49,9 @@ pub struct AnnealSchedule {
 
 /// Sebastiano Vigna's `splitmix64`: one 64-bit state word, full-period,
 /// and trivially stable across platforms — the properties a replayable
-/// anneal stream needs.
+/// anneal stream needs. The workspace's one copy: tie shuffles, WAL frame
+/// checksums, chaos schedules and simulator streams all step through it.
+#[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

@@ -17,6 +17,7 @@ use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
 
+use super::anneal::splitmix64;
 use super::csr::CsrGraph;
 
 /// Eager greedy selection of at most `b` users, maintaining every
@@ -187,16 +188,6 @@ fn argmax_seeded<W: ScoreValue>(marg: &[W], available: &[bool], state: &mut u64)
         }
     }
     best
-}
-
-/// The splitmix64 PRNG step (public-domain constant stream); enough for tie
-/// shuffling without pulling a full RNG dependency into the core crate.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

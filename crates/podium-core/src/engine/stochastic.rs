@@ -9,6 +9,7 @@ use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
 
+use super::anneal::splitmix64;
 use super::csr::CsrGraph;
 
 /// Stochastic greedy with accuracy parameter `epsilon ∈ (0, 1)`; each round
@@ -43,13 +44,7 @@ pub(super) fn stochastic_select<W: ScoreValue>(
     let mut cov_rem: Vec<u32> = inst.covs().to_vec();
     let mut available: Vec<u32> = (0..n as u32).collect();
     let mut rng_state = seed ^ 0x5851_F42D_4C95_7F2D;
-    let mut next_u64 = move || {
-        rng_state = rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next_u64 = move || splitmix64(&mut rng_state);
 
     let gain_of = |u: u32, cov_rem: &[u32]| -> W {
         let mut gain = W::zero();

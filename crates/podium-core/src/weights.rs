@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::engine::splitmix64;
 use crate::group::GroupSet;
 use crate::score::EbsValue;
 
@@ -77,11 +78,7 @@ pub fn noisy_weights(base: &[f64], amplitude: f64, seed: u64) -> Vec<f64> {
     let mut state = seed ^ 0xA076_1D64_78BD_642F;
     base.iter()
         .map(|&w| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
+            let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
             w * (1.0 - amplitude + 2.0 * amplitude * u)
         })
         .collect()
@@ -108,8 +105,10 @@ impl CovScheme {
                 groups
                     .iter()
                     .map(|(_, g)| {
-                        let prop = (b * g.size()) / n;
-                        (prop.max(1)) as u32
+                        // `b` can arrive off the wire unbounded: take the
+                        // product in u128 and saturate the quotient.
+                        let prop = (b as u128 * g.size() as u128) / n as u128;
+                        u32::try_from(prop.max(1)).unwrap_or(u32::MAX)
                     })
                     .collect()
             }
@@ -187,7 +186,9 @@ mod tests {
     #[test]
     fn proportional_cov_never_zero() {
         let g = three_groups();
-        for b in 1..10 {
+        // 2^33: b·|G|/n is exactly 2^32 for the size-2 group, which a
+        // truncating cast turns into 0; usize::MAX overflows the product.
+        for b in (1..10).chain([1 << 33, usize::MAX]) {
             assert!(CovScheme::Proportional.cov(&g, b).iter().all(|&c| c >= 1));
         }
     }

@@ -22,6 +22,8 @@
 //! the same seed, document, and fault list always produce byte-identical
 //! corruption.
 
+use podium_core::engine::splitmix64;
+
 /// One class of corruption the injector can apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
@@ -67,13 +69,7 @@ impl FaultInjector {
     }
 
     fn next_u64(&mut self) -> u64 {
-        // splitmix64: tiny, deterministic, and good enough for picking
-        // corruption sites.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     fn gen_range(&mut self, n: usize) -> usize {

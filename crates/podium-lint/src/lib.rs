@@ -15,8 +15,7 @@
 //!    poison-propagation.
 //! 3. **protocol exhaustiveness** ([`passes::protocol`]): cross-checks
 //!    `ServiceError` / `DataErrorKind` variants against their wire
-//!    codes, the failure-cause classification in `bench-serve`, the
-//!    protocol module docs, and DESIGN.md.
+//!    codes, the protocol module docs, and DESIGN.md.
 //! 4. **cfg/feature hygiene** ([`passes::cfg_features`]): every
 //!    `#[cfg(feature = "…")]` / `cfg!(feature = "…")` must name a
 //!    feature declared in the owning crate's `Cargo.toml`.
@@ -88,8 +87,6 @@ pub enum Rule {
     ProtocolUnmapped,
     /// A wire code or quarantine tag not documented in DESIGN.md.
     ProtocolUndocumented,
-    /// A string in a wire-code classifier that matches no known code.
-    ProtocolStale,
     /// `feature = "…"` naming a feature the crate does not declare.
     CfgFeature,
     /// A malformed allow comment (unknown rule or missing
@@ -123,7 +120,6 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::ProtocolUnmapped => "protocol-unmapped",
             Rule::ProtocolUndocumented => "protocol-undocumented",
-            Rule::ProtocolStale => "protocol-stale",
             Rule::CfgFeature => "cfg-feature",
             Rule::BadAllow => "bad-allow",
             Rule::AsCast => "as-cast",
@@ -139,7 +135,7 @@ impl Rule {
 }
 
 /// All rules, for `--help` and allow-comment validation.
-pub const ALL_RULES: [Rule; 17] = [
+pub const ALL_RULES: [Rule; 16] = [
     Rule::Unwrap,
     Rule::Expect,
     Rule::Panic,
@@ -151,7 +147,6 @@ pub const ALL_RULES: [Rule; 17] = [
     Rule::LockOrder,
     Rule::ProtocolUnmapped,
     Rule::ProtocolUndocumented,
-    Rule::ProtocolStale,
     Rule::CfgFeature,
     Rule::BadAllow,
     Rule::AsCast,

@@ -1,14 +1,12 @@
 //! Pass 3 — protocol exhaustiveness.
 //!
-//! The wire protocol's error surface is maintained by hand in four
+//! The wire protocol's error surface is maintained by hand in three
 //! places that nothing but convention keeps in sync:
 //!
 //! * `ServiceError` variants and their stable codes
 //!   (`crates/podium-service/src/error.rs`, `fn code`);
 //! * the protocol module docs, which enumerate the codes clients can
 //!   receive (`crates/podium-service/src/protocol.rs`);
-//! * the failure-cause classifier `bench-serve` aggregates by
-//!   (`crates/podium-service/src/bench.rs`, `fn classify_error_code`);
 //! * DESIGN.md, the operator-facing contract.
 //!
 //! Likewise `DataErrorKind` variants and their quarantine-report tags
@@ -17,8 +15,7 @@
 //!
 //! * a variant with no explicit code/tag arm (`protocol-unmapped`);
 //! * a code missing from the protocol.rs docs (`protocol-unmapped`);
-//! * a code or tag not documented in DESIGN.md (`protocol-undocumented`);
-//! * a classifier string that matches no known code (`protocol-stale`).
+//! * a code or tag not documented in DESIGN.md (`protocol-undocumented`).
 
 use std::path::Path;
 
@@ -28,7 +25,6 @@ use crate::{Rule, Violation};
 /// Relative paths of everything the pass reads.
 const ERROR_RS: &str = "crates/podium-service/src/error.rs";
 const PROTOCOL_RS: &str = "crates/podium-service/src/protocol.rs";
-const BENCH_RS: &str = "crates/podium-service/src/bench.rs";
 const LOAD_RS: &str = "crates/podium-data/src/load.rs";
 const DESIGN_MD: &str = "DESIGN.md";
 
@@ -40,9 +36,6 @@ pub fn run(root: &Path) -> Vec<Violation> {
         return out;
     };
     let Some(protocol_src) = read(root, PROTOCOL_RS, &mut out) else {
-        return out;
-    };
-    let Some(bench_src) = read(root, BENCH_RS, &mut out) else {
         return out;
     };
     let Some(load_src) = read(root, LOAD_RS, &mut out) else {
@@ -96,22 +89,6 @@ pub fn run(root: &Path) -> Vec<Violation> {
                 Rule::ProtocolUndocumented,
                 format!(
                     "wire code `{code}` (ServiceError::{variant}) is not documented in {DESIGN_MD}"
-                ),
-            ));
-        }
-    }
-
-    // bench-serve classifier strings must be real codes.
-    let bench_scan = FileScan::new(&bench_src);
-    for (code, line) in string_match_arms(&bench_scan, b"classify_error_code") {
-        if !arms.iter().any(|(_, c, _)| *c == code) {
-            out.push(Violation::new(
-                BENCH_RS,
-                line,
-                1,
-                Rule::ProtocolStale,
-                format!(
-                    "classify_error_code matches `{code}`, which is not a ServiceError wire code"
                 ),
             ));
         }
@@ -256,30 +233,6 @@ pub fn variant_string_arms(
     out
 }
 
-/// In `fn <fn_name>`, string literals used as match patterns
-/// (`"string" … =>`): returns `(string, line)` pairs. Heuristic: any
-/// string literal that is *followed* by `=>` or `|` before another
-/// string is a pattern; this matches the shape of the classifier fns.
-pub fn string_match_arms(scan: &FileScan<'_>, fn_name: &[u8]) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    let Some((open, close)) = scan.find_function(fn_name) else {
-        return out;
-    };
-    for si in open..=close {
-        let Some(code) = string_literal(scan, si) else {
-            continue;
-        };
-        // Pattern position: `=>` or `|` follows immediately.
-        let is_pattern = (scan.is_punct(si + 1, b'=') && scan.is_punct(si + 2, b'>'))
-            || scan.is_punct(si + 1, b'|');
-        if is_pattern {
-            let (line, _) = scan.pos(si);
-            out.push((code, line));
-        }
-    }
-    out
-}
-
 /// The unquoted contents of a plain string literal token at `si`.
 fn string_literal(scan: &FileScan<'_>, si: usize) -> Option<String> {
     use crate::lexer::TokenKind;
@@ -345,28 +298,6 @@ impl ServiceError {
                 ("BadRequest", "client"),
                 ("Core", "client")
             ]
-        );
-    }
-
-    #[test]
-    fn extracts_string_patterns_not_return_values() {
-        let src = br#"
-fn classify_error_code(code: &str) -> FailCause {
-    match code {
-        "deadline_exceeded" => FailCause::Deadline,
-        "overloaded" | "shutting_down" => FailCause::Admission,
-        _ => FailCause::Other,
-    }
-}
-"#;
-        let scan = FileScan::new(src);
-        let arms: Vec<String> = string_match_arms(&scan, b"classify_error_code")
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect();
-        assert_eq!(
-            arms,
-            vec!["deadline_exceeded", "overloaded", "shutting_down"]
         );
     }
 }

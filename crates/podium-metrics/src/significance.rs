@@ -17,6 +17,8 @@
 //! assert!(r.mean_diff > 0.2);
 //! ```
 
+use podium_core::engine::splitmix64;
+
 /// Result of a paired bootstrap comparison of `a` vs `b`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootstrapResult {
@@ -68,13 +70,7 @@ pub fn paired_bootstrap(
     let mean_diff = diffs.iter().sum::<f64>() / n as f64;
 
     let mut state = seed ^ 0x1234_5678_9ABC_DEF0;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut state);
 
     let resamples = resamples.max(1);
     let mut means = Vec::with_capacity(resamples);

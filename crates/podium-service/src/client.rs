@@ -33,6 +33,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use podium_core::engine::splitmix64;
 use serde_json::Value;
 
 use crate::protocol::{self, Request};
@@ -102,8 +103,8 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A point-in-time view of the client's breaker/health state, as
-/// surfaced in bench-serve's JSONL `peers` array.
+/// A point-in-time view of the client's breaker/health state (see
+/// [`PodiumClient::health`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientHealth {
     /// The breaker's current state.
@@ -222,14 +223,6 @@ impl Breaker {
         }
         false
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A single-connection resilient client. Not `Sync`; give each thread its

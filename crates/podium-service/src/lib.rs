@@ -34,9 +34,8 @@
 //!   atomic checkpoint files, and a startup recovery path that loads the
 //!   newest valid checkpoint, replays the WAL suffix through the ordinary
 //!   publish path, and quarantines torn tails instead of panicking;
-//! * [`bench`] — a closed-loop load generator reporting sustained
-//!   throughput and latency percentiles while a background writer streams
-//!   profile updates, in-process or over TCP.
+//! * [`bench`] — the seeded synthetic repository the serving tests and
+//!   the `perfbench/` benchmark load.
 //!
 //! The crate is embeddable: [`service::PodiumService`] is an ordinary
 //! `Send + Sync` value; the binary front-end lives in the workspace's

@@ -76,7 +76,7 @@ impl DurabilityOptions {
 }
 
 /// What [`recover`] found and did — surfaced through the `stats` op and
-/// bench-serve JSONL.
+/// `serve`'s startup line.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// WAL sequence the loaded checkpoint was current through (0 = none).

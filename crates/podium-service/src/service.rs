@@ -66,9 +66,6 @@ pub struct ServiceConfig {
     /// long-abandoned session's snapshot alive pins its whole repository
     /// copy in memory; this bounds that. `u64::MAX` disables retirement.
     pub max_session_lag: u64,
-    /// How published epochs are materialized (incremental delta patching
-    /// vs full rebuild).
-    pub publish_mode: PublishMode,
     /// When applied updates become visible.
     pub publish_policy: PublishPolicy,
     /// Budget of the warming select run after each *batched* publish
@@ -86,7 +83,6 @@ impl Default for ServiceConfig {
             queue_capacity: exec.queue_capacity,
             default_deadline_ms: exec.default_deadline.as_millis() as u64,
             max_session_lag: 1024,
-            publish_mode: PublishMode::default(),
             publish_policy: PublishPolicy::default(),
             warm_budget: Some(DEFAULT_WARM_BUDGET),
         }
@@ -98,7 +94,7 @@ impl Default for ServiceConfig {
 /// accumulate over the service's lifetime so dashboards see totals that
 /// never reset when an epoch is published.
 #[derive(Debug, Default)]
-pub struct CacheCounters {
+struct CacheCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     stale_served: AtomicU64,
@@ -106,7 +102,7 @@ pub struct CacheCounters {
 
 impl CacheCounters {
     /// `(hits, misses)` so far.
-    pub fn totals(&self) -> (u64, u64) {
+    fn totals(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
@@ -114,7 +110,7 @@ impl CacheCounters {
     }
 
     /// Selects served from a carried-forward (stale) memo so far.
-    pub fn stale_served(&self) -> u64 {
+    fn stale_served(&self) -> u64 {
         self.stale_served.load(Ordering::Relaxed)
     }
 
@@ -312,7 +308,7 @@ impl PodiumService {
     /// background flusher that publishes one epoch per batch and warms
     /// the new epoch's memo cache.
     pub fn new(repo: UserRepository, buckets: &PropertyBuckets, config: ServiceConfig) -> Self {
-        let (store, writer) = RepositoryWriter::with_mode(repo, buckets, config.publish_mode);
+        let (store, writer) = RepositoryWriter::new(repo, buckets);
         Self::assemble(store, writer, config, None)
     }
 
@@ -332,7 +328,7 @@ impl PodiumService {
         opts: DurabilityOptions,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
         let (store, writer, report) =
-            recovery::recover(&opts.data_dir, repo, buckets, config.publish_mode)?;
+            recovery::recover(&opts.data_dir, repo, buckets, PublishMode::Incremental)?;
         let wal = WalWriter::open(
             &opts.data_dir,
             opts.fsync,
@@ -422,11 +418,6 @@ impl PodiumService {
             }
         }
         Ok(published)
-    }
-
-    /// Cumulative memo-cache counters (monotone across epochs).
-    pub fn cache_counters(&self) -> &CacheCounters {
-        &self.cache_counters
     }
 
     /// The snapshot store (for embedding callers that read directly).
@@ -922,6 +913,40 @@ mod tests {
             3
         );
         assert!(resp.get("score").and_then(Value::as_f64).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn huge_proportional_budget_neither_kills_workers_nor_wraps() {
+        // An unbounded wire budget under `cov: prop` must not panic a
+        // worker: with both workers gone, the next select would wait out
+        // its timeout instead of answering.
+        let svc = service();
+        for _ in 0..2 {
+            let resp = parse(
+                &svc.handle_line(r#"{"op":"select","budget":9223372036854775807,"cov":"prop"}"#),
+            );
+            assert_eq!(
+                resp.get("ok").and_then(Value::as_bool),
+                Some(true),
+                "{resp:?}"
+            );
+            let users = resp.get("users").and_then(Value::as_array).unwrap();
+            assert_eq!(
+                users.len(),
+                16,
+                "budget above the population selects everyone"
+            );
+        }
+        let resp = parse(&svc.handle_line(r#"{"op":"select","budget":3,"deadline_ms":2000}"#));
+        assert_eq!(
+            resp.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        assert_eq!(
+            resp.get("users").and_then(Value::as_array).unwrap().len(),
+            3
+        );
     }
 
     #[test]

@@ -42,6 +42,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use podium_core::engine::splitmix64;
 use serde_json::Value;
 
 use crate::error::ServiceError;
@@ -96,14 +97,6 @@ impl FsyncPolicy {
             _ => None,
         }
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The splitmix64-folded CRC of a frame payload (see module docs).

@@ -23,7 +23,7 @@
 //! * [`stream`] — schema-validated JSONL ingestion with typed errors
 //!   (mixed versions and non-monotone sequence numbers are rejected,
 //!   not panicked over);
-//! * [`report`] — the unified dashboard: one pass over bench-serve,
+//! * [`report`] — the unified dashboard: one pass over
 //!   experiment-status, lint, and simulator streams, producing a
 //!   human-readable dashboard plus the machine `BENCH_*.json` rollup.
 

@@ -1,21 +1,18 @@
 //! The unified observability dashboard: one pass over every stream the
 //! workspace emits.
 //!
-//! `podium sim report` feeds this module bench-serve rows, experiment
-//! harness status rows, podium-lint findings, and simulator
-//! trace/request logs — in any combination — and gets back two views of
-//! the same aggregation:
+//! `podium sim report` feeds this module experiment harness status
+//! rows, podium-lint findings, and simulator trace/request logs — in
+//! any combination — and gets back two views of the same aggregation:
 //!
 //! * a human text dashboard, sectioned per stream kind, and
 //! * a machine rollup (`podium.dashboard-rollup/1`) checked in as
-//!   `BENCH_8.json`: req/s and p50/p99 per op, failure breakdown, cache
-//!   hit rate, WAL/recovery stats, and the lint suppression-debt count.
+//!   `BENCH_8.json`: experiment outcome counts, the lint
+//!   suppression-debt count, and p50/p99 and outcomes per sim op.
 //!
 //! Aggregation rules are deliberately simple and documented here so the
-//! numbers are auditable: bench-serve headline stats come from the row
-//! with the highest `seq` (the newest run) while failure counters sum
-//! over all rows; experiment and lint sections count rows; the sim
-//! section recomputes latency percentiles from the raw request log.
+//! numbers are auditable: experiment and lint sections count rows; the
+//! sim section recomputes latency percentiles from the raw request log.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -56,13 +53,7 @@ pub fn render(streams: &[JsonlStream], previous: Option<&Value>) -> (String, Val
 
     let _ = writeln!(human, "==== podium dashboard ====");
     let mut source_pairs: Vec<(String, Value)> = Vec::new();
-    for kind in [
-        StreamKind::BenchServe,
-        StreamKind::ExperimentStatus,
-        StreamKind::Lint,
-        StreamKind::SimTrace,
-        StreamKind::SimRequests,
-    ] {
+    for kind in StreamKind::ALL {
         let files: Vec<&JsonlStream> = streams.iter().filter(|s| s.kind == kind).collect();
         if files.is_empty() {
             continue;
@@ -82,9 +73,6 @@ pub fn render(streams: &[JsonlStream], previous: Option<&Value>) -> (String, Val
     }
     rollup.push(("sources".to_owned(), Value::Object(source_pairs)));
 
-    if let Some(section) = bench_serve_section(streams, &mut human) {
-        rollup.push(("bench_serve".to_owned(), section));
-    }
     if let Some(section) = experiments_section(streams, &mut human) {
         rollup.push(("experiments".to_owned(), section));
     }
@@ -113,110 +101,6 @@ fn get_u64(row: &Value, key: &str) -> u64 {
 
 fn get_f64(row: &Value, key: &str) -> f64 {
     row.get(key).and_then(Value::as_f64).unwrap_or(0.0)
-}
-
-/// Serving health: headline stats from the newest row (highest `seq`),
-/// failure counters summed over every row.
-fn bench_serve_section(streams: &[JsonlStream], human: &mut String) -> Option<Value> {
-    let rows = rows_of(streams, StreamKind::BenchServe);
-    let latest = rows.iter().max_by_key(|r| get_u64(r, "seq"))?;
-
-    let mut failed = 0u64;
-    let mut failed_deadline = 0u64;
-    let mut failed_transport = 0u64;
-    let mut failed_other = 0u64;
-    let mut overloaded = 0u64;
-    let mut inconsistent = 0u64;
-    let mut served = 0u64;
-    for row in &rows {
-        served += get_u64(row, "served");
-        failed += get_u64(row, "failed");
-        failed_deadline += get_u64(row, "failed_deadline");
-        failed_transport += get_u64(row, "failed_transport");
-        failed_other += get_u64(row, "failed_other");
-        overloaded += get_u64(row, "overloaded");
-        inconsistent += get_u64(row, "inconsistent");
-    }
-    let cache_hits = get_u64(latest, "cache_hits");
-    let cache_misses = get_u64(latest, "cache_misses");
-    let cache_total = cache_hits + cache_misses;
-    let cache_hit_rate = if cache_total > 0 {
-        // podium-lint: allow(as-cast) — cache counters are far below 2^53
-        cache_hits as f64 / cache_total as f64
-    } else {
-        0.0
-    };
-
-    let _ = writeln!(human, "\n-- serving (bench-serve) --");
-    let _ = writeln!(
-        human,
-        "latest run: {:.1} req/s, p50 {}us p99 {}us over {}",
-        get_f64(latest, "throughput_rps"),
-        get_u64(latest, "p50_us"),
-        get_u64(latest, "p99_us"),
-        latest
-            .get("transport")
-            .and_then(Value::as_str)
-            .unwrap_or("?"),
-    );
-    let _ = writeln!(
-        human,
-        "all runs:   served {served}, failed {failed} (deadline {failed_deadline}, transport {failed_transport}, other {failed_other}), overloaded {overloaded}, inconsistent {inconsistent}"
-    );
-    let _ = writeln!(
-        human,
-        "cache:      {:.1}% hit rate ({cache_hits}/{cache_total}); wal {} bytes, checkpoint epoch {}, recovery {:.1} ms to epoch {}",
-        cache_hit_rate * 100.0,
-        get_u64(latest, "wal_bytes"),
-        get_u64(latest, "last_checkpoint_epoch"),
-        get_f64(latest, "recovery_ms"),
-        get_u64(latest, "recovered_epoch"),
-    );
-
-    Some(Value::Object(vec![
-        (
-            "rows".to_owned(),
-            num_u64(u64::try_from(rows.len()).unwrap_or(u64::MAX)),
-        ),
-        (
-            "throughput_rps".to_owned(),
-            num_f64(get_f64(latest, "throughput_rps")),
-        ),
-        ("p50_us".to_owned(), num_u64(get_u64(latest, "p50_us"))),
-        ("p99_us".to_owned(), num_u64(get_u64(latest, "p99_us"))),
-        ("served".to_owned(), num_u64(served)),
-        ("failed".to_owned(), num_u64(failed)),
-        ("failed_deadline".to_owned(), num_u64(failed_deadline)),
-        ("failed_transport".to_owned(), num_u64(failed_transport)),
-        ("failed_other".to_owned(), num_u64(failed_other)),
-        ("overloaded".to_owned(), num_u64(overloaded)),
-        ("inconsistent".to_owned(), num_u64(inconsistent)),
-        ("cache_hit_rate".to_owned(), num_f64(cache_hit_rate)),
-        (
-            "wal_bytes".to_owned(),
-            num_u64(get_u64(latest, "wal_bytes")),
-        ),
-        (
-            "last_checkpoint_epoch".to_owned(),
-            num_u64(get_u64(latest, "last_checkpoint_epoch")),
-        ),
-        (
-            "recovery_ms".to_owned(),
-            num_f64(get_f64(latest, "recovery_ms")),
-        ),
-        (
-            "recovered_epoch".to_owned(),
-            num_u64(get_u64(latest, "recovered_epoch")),
-        ),
-        (
-            "publish_p50_us".to_owned(),
-            num_u64(get_u64(latest, "publish_p50_us")),
-        ),
-        (
-            "publish_p99_us".to_owned(),
-            num_u64(get_u64(latest, "publish_p99_us")),
-        ),
-    ]))
 }
 
 /// Experiment sweep health: outcome counts and which experiments failed.
@@ -435,37 +319,6 @@ mod tests {
     use super::*;
     use crate::stream::parse_stream;
 
-    fn bench_rows() -> JsonlStream {
-        let text = concat!(
-            "{\"schema\":\"podium.bench-serve/1\",\"seq\":0,\"bench\":\"serve\",\"transport\":\"inproc\",\"served\":100,\"failed\":2,\"failed_deadline\":1,\"failed_transport\":1,\"failed_other\":0,\"overloaded\":0,\"inconsistent\":0,\"throughput_rps\":500.0,\"p50_us\":90,\"p99_us\":400,\"cache_hits\":10,\"cache_misses\":10,\"wal_bytes\":0,\"last_checkpoint_epoch\":0,\"recovery_ms\":0.0,\"recovered_epoch\":0,\"publish_p50_us\":5,\"publish_p99_us\":9}\n",
-            "{\"schema\":\"podium.bench-serve/1\",\"seq\":1,\"bench\":\"serve\",\"transport\":\"tcp\",\"served\":200,\"failed\":0,\"failed_deadline\":0,\"failed_transport\":0,\"failed_other\":0,\"overloaded\":0,\"inconsistent\":0,\"throughput_rps\":800.0,\"p50_us\":120,\"p99_us\":900,\"cache_hits\":30,\"cache_misses\":10,\"wal_bytes\":4096,\"last_checkpoint_epoch\":7,\"recovery_ms\":1.5,\"recovered_epoch\":9,\"publish_p50_us\":6,\"publish_p99_us\":11}\n",
-        );
-        parse_stream("bench.jsonl", text).unwrap()
-    }
-
-    #[test]
-    fn bench_serve_headline_is_latest_failures_sum() {
-        let streams = vec![bench_rows()];
-        let (human, rollup) = render(&streams, None);
-        let bench = rollup.get("bench_serve").unwrap();
-        // Headline from seq=1 (the tcp run) …
-        assert_eq!(
-            bench.get("throughput_rps").and_then(Value::as_f64),
-            Some(800.0)
-        );
-        assert_eq!(bench.get("p99_us").and_then(Value::as_u64), Some(900));
-        assert_eq!(bench.get("wal_bytes").and_then(Value::as_u64), Some(4096));
-        // … failure breakdown summed over both runs.
-        assert_eq!(bench.get("served").and_then(Value::as_u64), Some(300));
-        assert_eq!(bench.get("failed").and_then(Value::as_u64), Some(2));
-        assert_eq!(
-            bench.get("cache_hit_rate").and_then(Value::as_f64),
-            Some(0.75)
-        );
-        assert!(human.contains("-- serving (bench-serve) --"), "{human}");
-        assert!(human.contains("800.0 req/s"), "{human}");
-    }
-
     #[test]
     fn experiments_and_lint_sections_count_rows() {
         let exp = parse_stream(
@@ -493,8 +346,6 @@ mod tests {
         assert_eq!(l.get("suppressed_debt").and_then(Value::as_u64), Some(1));
         assert!(human.contains("drift (panicked)"), "{human}");
         assert!(human.contains("suppression debt"), "{human}");
-        // No bench-serve stream → no bench_serve section.
-        assert!(rollup.get("bench_serve").is_none());
         // Per-rule breakdown: unwrap was denied, index was suppressed.
         let by_rule = l.get("by_rule").unwrap();
         let unwrap_counts = by_rule.get("unwrap").unwrap();
@@ -600,7 +451,12 @@ mod tests {
 
     #[test]
     fn rollup_is_tagged_and_serializable() {
-        let (_, rollup) = render(&[bench_rows()], None);
+        let lint = parse_stream(
+            "lint.jsonl",
+            "{\"schema\":\"podium.lint/1\",\"seq\":0,\"file\":\"a.rs\",\"line\":1,\"col\":1,\"rule\":\"unwrap\",\"message\":\"m\",\"allowed\":false}\n",
+        )
+        .unwrap();
+        let (_, rollup) = render(&[lint], None);
         assert_eq!(
             rollup.get("schema").and_then(Value::as_str),
             Some(DASHBOARD_SCHEMA)

@@ -1,12 +1,14 @@
 //! The simulator's deterministic random streams.
 //!
 //! Everything random in a simulation flows through [`SimRng`], a
-//! splitmix64 generator (the same kernel used by `podium-service`'s
-//! bench and chaos modules). Each stochastic process (arrival, drift,
-//! churn, sessions) derives its own stream with [`SimRng::derive`] so
-//! that adding draws to one process never perturbs another — the key to
-//! keeping event traces byte-identical across refactors of a single
-//! process.
+//! splitmix64 generator (`podium_core::engine::splitmix64`, the kernel
+//! `podium-service`'s WAL, client and chaos modules share). Each
+//! stochastic process (arrival, drift, churn, sessions) derives its own
+//! stream with [`SimRng::derive`] so that adding draws to one process
+//! never perturbs another — the key to keeping event traces
+//! byte-identical across refactors of a single process.
+
+use podium_core::engine::splitmix64;
 
 /// A splitmix64 pseudo-random stream.
 #[derive(Debug, Clone)]
@@ -16,14 +18,6 @@ pub struct SimRng {
 
 /// splitmix64's additive constant (the 64-bit golden ratio).
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(GOLDEN);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl SimRng {
     /// A stream seeded directly from `seed`.

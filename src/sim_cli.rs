@@ -7,8 +7,7 @@
 //!   seed), `requests.jsonl` (wall-clock latencies/outcomes/staleness),
 //!   and `rollup.json` (the deterministic counter rollup).
 //! * `sim report` — the unified dashboard: validates any mix of
-//!   bench-serve, experiment-status, podium-lint, and simulator JSONL
-//!   files and renders one human dashboard plus the machine
+//!   experiment-status, podium-lint, and simulator JSONL files and renders one human dashboard plus the machine
 //!   `podium.dashboard-rollup/1` document (checked in as
 //!   `BENCH_8.json`).
 
@@ -32,9 +31,8 @@ USAGE:
       trace and rollup. --chaos (tcp only) interposes the
       virtual-clock chaos proxy.
   sim report --in FILE [--in FILE ...] [--out FILE]
-      Render the unified dashboard over any mix of bench-serve,
-      experiment-status, podium-lint, and sim trace/request JSONL
-      files; print the human dashboard and write the machine rollup
+      Render the unified dashboard over any mix of experiment-status,
+      podium-lint, and sim trace/request JSONL files; print the human dashboard and write the machine rollup
       to --out (default BENCH_8.json).
 ";
 
