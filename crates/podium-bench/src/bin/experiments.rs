@@ -442,8 +442,7 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
         }
         "constrained" => {
             header("Constrained: quota-constrained greedy vs time-matched annealing");
-            let report =
-                podium_bench::constrained_exp::run(args.scale, args.budget, args.seed);
+            let report = podium_bench::constrained_exp::run(args.scale, args.budget, args.seed);
             print!("{}", podium_bench::constrained_exp::render(&report));
             // The checked-in artifact: measured numbers for this PR.
             let artifact = podium_bench::constrained_exp::bench9_json(&report);

@@ -74,10 +74,7 @@ pub struct ConstrainedReport {
 /// The quota mixes swept, from least to most binding: floors pull small
 /// groups into the slate, ceilings cap how much of it the biggest
 /// groups may occupy.
-fn quota_mixes(
-    by_size: &[(u32, usize)],
-    budget: usize,
-) -> Vec<(&'static str, Vec<Quota>)> {
+fn quota_mixes(by_size: &[(u32, usize)], budget: usize) -> Vec<(&'static str, Vec<Quota>)> {
     let floor = |group: u32| Quota {
         group,
         min: QuotaBound::Count(1),
@@ -242,7 +239,14 @@ pub fn render(report: &ConstrainedReport) -> String {
     let _ = writeln!(
         out,
         "{:>8} {:>7} {:>13} {:>10} {:>13} {:>10} {:>9} {:>8}",
-        "quotas", "groups", "greedy score", "greedy ms", "anneal score", "anneal ms", "steps", "gain"
+        "quotas",
+        "groups",
+        "greedy score",
+        "greedy ms",
+        "anneal score",
+        "anneal ms",
+        "steps",
+        "gain"
     );
     for r in &report.rows {
         if r.feasible {
@@ -281,7 +285,10 @@ fn row_value(r: &ConstrainedRow) -> Value {
         ("greedy_ms".to_owned(), num_f64(r.greedy_ms)),
         ("anneal_score".to_owned(), num_f64(r.anneal_score)),
         ("anneal_ms".to_owned(), num_f64(r.anneal_ms)),
-        ("anneal_steps".to_owned(), num_u64(u64::from(r.anneal_steps))),
+        (
+            "anneal_steps".to_owned(),
+            num_u64(u64::from(r.anneal_steps)),
+        ),
         ("improvement_pct".to_owned(), num_f64(r.improvement_pct)),
     ])
 }
@@ -376,7 +383,10 @@ mod tests {
             ],
         };
         let doc: Value = serde_json::from_str(&bench9_json(&report)).unwrap();
-        assert_eq!(doc.get("bench").and_then(Value::as_str), Some("constrained"));
+        assert_eq!(
+            doc.get("bench").and_then(Value::as_str),
+            Some("constrained")
+        );
         assert_eq!(
             doc.get("schema").and_then(Value::as_str),
             Some("podium.bench-constrained/1")

@@ -168,7 +168,8 @@ fn first_generic_arg(ty: &str) -> Option<&str> {
 
 /// Smart-pointer / cell wrappers that forward method calls and field
 /// reads to their first generic argument.
-const TRANSPARENT_WRAPPERS: &[&str] = &["Arc", "Rc", "Box", "RefCell", "Cell", "Pin", "ManuallyDrop"];
+const TRANSPARENT_WRAPPERS: &[&str] =
+    &["Arc", "Rc", "Box", "RefCell", "Cell", "Pin", "ManuallyDrop"];
 
 /// Unwraps transparent wrappers until a non-wrapper type remains:
 /// `Arc<RefCell<Conn>>` → `Conn`.
@@ -250,10 +251,7 @@ pub fn collect_bindings(
             // `let name: Type = …` — type text up to `=` or `;`.
             let ty_from = at + 1;
             let mut ty_to = ty_from;
-            while ty_to < body_close
-                && !scan.is_punct(ty_to, b'=')
-                && !scan.is_punct(ty_to, b';')
-            {
+            while ty_to < body_close && !scan.is_punct(ty_to, b'=') && !scan.is_punct(ty_to, b';') {
                 ty_to += 1;
             }
             let ty = crate::items::type_text(scan, ty_from, ty_to);
@@ -271,10 +269,7 @@ pub fn collect_bindings(
                     // return type, else assume the constructor returns
                     // the type itself.
                     let method = String::from_utf8_lossy(scan.text(at + 4)).into_owned();
-                    let ret = index
-                        .method_rets(&head, &method)
-                        .and_then(uniform)
-                        .cloned();
+                    let ret = index.method_rets(&head, &method).and_then(uniform).cloned();
                     match ret {
                         Some(Some(r)) => {
                             // `Result<Self>`-style constructors resolve
@@ -422,7 +417,13 @@ pub fn resolve_chain(
         // Chain starts with a free-fn call: `open(path).store()`.
         match index.uniform_free_fn_ret(&first.name) {
             Some(Some(ret)) => cur = Some(peel(ret).to_owned()),
-            Some(None) => return if segs.len() == 1 { Resolved::Unit } else { Resolved::Unknown },
+            Some(None) => {
+                return if segs.len() == 1 {
+                    Resolved::Unit
+                } else {
+                    Resolved::Unknown
+                }
+            }
             None => return Resolved::Unknown,
         }
     }
@@ -602,8 +603,8 @@ mod tests {
             .find(|&si| scan.is_punct(si, b'(') && scan.is_ident(si.wrapping_sub(1), b"lock"))
             .expect("call site"); // podium-lint: allow(expect) — test fixture, token known present
         let segs = chain_ending_at(&scan, open).expect("chain"); // podium-lint: allow(expect) — test fixture, chain known simple
-        // Strip the trailing `.lock()` call segment — the lock pass
-        // resolves the receiver, not the call.
+                                                                 // Strip the trailing `.lock()` call segment — the lock pass
+                                                                 // resolves the receiver, not the call.
         let recv = &segs[..segs.len() - 1];
         assert_eq!(
             resolve_field_chain(&index, Some("Hub"), &Bindings::new(), recv),

@@ -188,7 +188,8 @@ impl QueryExecutor {
         let absolute = Instant::now() + deadline.unwrap_or(self.config.default_deadline);
         let (tx, rx) = mpsc::channel();
         self.submit(move |snapshot| {
-            let _ = tx.send(snapshot.select_constrained(&params, &constraints, Some(absolute), false));
+            let _ =
+                tx.send(snapshot.select_constrained(&params, &constraints, Some(absolute), false));
         })?;
         rx.recv()
             .map_err(|_| ServiceError::BadRequest("worker dropped the response channel".into()))?

@@ -183,7 +183,11 @@ fn parse_select_params(obj: &Value) -> Result<SelectParams, ServiceError> {
 fn u32_of(v: &Value, name: &str) -> Result<u32, ServiceError> {
     v.as_u64()
         .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| bad(format!("field '{name}' must be a 32-bit non-negative integer")))
+        .ok_or_else(|| {
+            bad(format!(
+                "field '{name}' must be a 32-bit non-negative integer"
+            ))
+        })
 }
 
 fn f64_of(v: &Value, name: &str) -> Result<f64, ServiceError> {
@@ -361,7 +365,12 @@ fn cov_tag(scheme: CovScheme) -> &'static str {
     }
 }
 
-fn bound_pair(pairs: &mut Vec<(String, Value)>, bound: &QuotaBound, count_key: &str, ratio_key: &str) {
+fn bound_pair(
+    pairs: &mut Vec<(String, Value)>,
+    bound: &QuotaBound,
+    count_key: &str,
+    ratio_key: &str,
+) {
     match bound {
         QuotaBound::Count(c) => pairs.push((count_key.to_owned(), num_u64(*c as u64))),
         QuotaBound::Ratio(r) => pairs.push((ratio_key.to_owned(), num_f64(*r))),
@@ -373,8 +382,7 @@ fn push_constraints(pairs: &mut Vec<(String, Value)>, constraints: &SelectConstr
         .quotas
         .iter()
         .map(|q| {
-            let mut qp: Vec<(String, Value)> =
-                vec![("group".to_owned(), num_u64(q.group as u64))];
+            let mut qp: Vec<(String, Value)> = vec![("group".to_owned(), num_u64(q.group as u64))];
             // A `Count(0)` floor is the parse-side default, so it is
             // omitted — keeping encode/parse exact inverses.
             if q.min != QuotaBound::Count(0) {
@@ -626,7 +634,10 @@ mod tests {
             })
         );
         assert_eq!(params.quota_hash, constraints.fingerprint());
-        assert_ne!(params.quota_hash, 0, "constrained selects have a nonzero hash");
+        assert_ne!(
+            params.quota_hash, 0,
+            "constrained selects have a nonzero hash"
+        );
     }
 
     #[test]

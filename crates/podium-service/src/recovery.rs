@@ -148,7 +148,8 @@ pub fn write_checkpoint(
     // durability gap — the caller counts it in `checkpoint_failures` and
     // surfaces it through stats, like every other checkpoint error.
     if let Ok(d) = File::open(dir) {
-        d.sync_all().map_err(|e| durability_err("fsync-dir", dir, e))?;
+        d.sync_all()
+            .map_err(|e| durability_err("fsync-dir", dir, e))?;
     }
     prune_checkpoints(dir);
     Ok(())

@@ -523,10 +523,11 @@ impl PodiumService {
                 current,
             });
         }
-        let absolute =
-            Instant::now() + deadline.unwrap_or(self.executor.config().default_deadline);
+        let absolute = Instant::now() + deadline.unwrap_or(self.executor.config().default_deadline);
         self.sessions.with_session(session, |s| match &constraints {
-            Some(c) => s.snapshot().select_constrained(&params, c, Some(absolute), false),
+            Some(c) => s
+                .snapshot()
+                .select_constrained(&params, c, Some(absolute), false),
             None => s.snapshot().select(&params, Some(absolute)),
         })
     }

@@ -423,10 +423,12 @@ impl Snapshot {
         let weights = self.weights_for(params.weight);
         let covs = params.cov.cov(&self.groups, params.budget);
         let inst = DiversificationInstance::new(&self.groups, weights, covs);
-        let greedy = constrained_lazy_select(&inst, &self.csr, params.budget, &quotas)
-            .map_err(|e| ServiceError::Infeasible {
-                group: e.group,
-                reason: e.reason,
+        let greedy =
+            constrained_lazy_select(&inst, &self.csr, params.budget, &quotas).map_err(|e| {
+                ServiceError::Infeasible {
+                    group: e.group,
+                    reason: e.reason,
+                }
             })?;
         let selection = match &constraints.anneal {
             Some(schedule) => anneal_refine(&inst, &self.csr, &quotas, &greedy, schedule),
@@ -1688,14 +1690,18 @@ mod tests {
             ..params
         };
         assert_ne!(cparams.quota_hash, 0);
-        let constrained = snap.select_constrained(&cparams, &constraints, None, false).unwrap();
+        let constrained = snap
+            .select_constrained(&cparams, &constraints, None, false)
+            .unwrap();
         assert!(!constrained.cache_hit, "constrained select must not alias");
         assert_eq!(snap.cache_stats(), (0, 2));
         // Both entries coexist; each repeat is a pure hit on its own key.
         let again = snap.select(&params, None).unwrap();
         assert!(again.cache_hit);
         assert_eq!(again.selection, plain.selection);
-        let cagain = snap.select_constrained(&cparams, &constraints, None, false).unwrap();
+        let cagain = snap
+            .select_constrained(&cparams, &constraints, None, false)
+            .unwrap();
         assert!(cagain.cache_hit);
         assert_eq!(cagain.selection, constrained.selection);
         assert_eq!(snap.cache_stats(), (2, 2));
@@ -1728,7 +1734,9 @@ mod tests {
             cov: CovScheme::Single,
             quota_hash: constraints.fingerprint(),
         };
-        let outcome = snap.select_constrained(&params, &constraints, None, false).unwrap();
+        let outcome = snap
+            .select_constrained(&params, &constraints, None, false)
+            .unwrap();
         assert!(
             outcome.selection.covered_counts[gid.index()] >= 1,
             "quota floor holds on the returned selection"
@@ -1808,7 +1816,9 @@ mod tests {
             cov: CovScheme::Single,
             quota_hash: greedy_only.fingerprint(),
         };
-        let greedy = snap.select_constrained(&base, &greedy_only, None, false).unwrap();
+        let greedy = snap
+            .select_constrained(&base, &greedy_only, None, false)
+            .unwrap();
         let annealed = snap
             .select_constrained(
                 &SelectParams {
