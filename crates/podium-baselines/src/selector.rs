@@ -20,11 +20,11 @@ pub trait Selector: Send + Sync {
     /// postconditions in debug builds (zero cost in release). Harnesses
     /// should prefer this entry point when comparing selectors.
     ///
-    /// Engine-backed selectors get instance- and CSR-level checks for free
-    /// on this path: building a `SelectionEngine` under debug assertions
-    /// runs `DiversificationInstance::validate()` and the CSR graph's
-    /// structural self-check, so `select_checked` vets both the input
-    /// instance and the output selection.
+    /// Greedy-backed selectors get instance- and CSR-level checks for free
+    /// on this path: under debug assertions `greedy_select_opts` runs
+    /// `DiversificationInstance::validate()` and builds the CSR graph,
+    /// whose construction self-checks its structure, so `select_checked`
+    /// vets both the input instance and the output selection.
     fn select_checked(&self, repo: &UserRepository, b: usize) -> Vec<UserId> {
         let selection = self.select(repo, b);
         debug_assert!(

@@ -3,10 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use podium_core::bucket::BucketingConfig;
+use podium_core::engine::{lazy_select_csr, CsrGraph};
 use podium_core::greedy::greedy_select;
 use podium_core::group::GroupSet;
 use podium_core::instance::DiversificationInstance;
-use podium_core::lazy_greedy::lazy_greedy_select;
 use podium_core::weights::{CovScheme, WeightScheme};
 use podium_data::synth::tripadvisor;
 
@@ -20,18 +20,24 @@ fn bench_eager_vs_lazy(c: &mut Criterion) {
         CovScheme::Single,
         8,
     );
+    // Both sides build the CSR graph per call, as the one-shot
+    // `greedy_select` does.
+    let celf = |b: usize| {
+        let csr = CsrGraph::from_group_set(inst.groups());
+        lazy_select_csr(&inst, &csr, b, None)
+    };
     let mut g = c.benchmark_group("eager_vs_lazy");
     g.bench_function("eager_b8", |b| {
         b.iter(|| greedy_select(std::hint::black_box(&inst), 8));
     });
     g.bench_function("lazy_b8", |b| {
-        b.iter(|| lazy_greedy_select(std::hint::black_box(&inst), 8));
+        b.iter(|| celf(std::hint::black_box(8)));
     });
     g.bench_function("eager_b64", |b| {
         b.iter(|| greedy_select(std::hint::black_box(&inst), 64));
     });
     g.bench_function("lazy_b64", |b| {
-        b.iter(|| lazy_greedy_select(std::hint::black_box(&inst), 64));
+        b.iter(|| celf(std::hint::black_box(64)));
     });
     g.finish();
 }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use podium_core::bucket::BucketingConfig;
-use podium_core::engine::{EngineVariant, SelectionEngine};
+use podium_core::engine::{eager_select_deadline, lazy_select_csr, CsrGraph};
 use podium_core::greedy::greedy_select;
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
@@ -14,7 +14,7 @@ use podium_data::synth::tripadvisor;
 
 /// Deterministic synthetic group structure for engine throughput runs:
 /// `n / 2` overlapping groups of 3–18 users (the scale a property bucket
-/// reaches on the paper's review datasets), so every variant sees the same
+/// reaches on the paper's review datasets), so every kernel sees the same
 /// instance without paying dataset bucketing costs.
 fn synthetic_groups(n: usize) -> GroupSet {
     let mut state = 0x2545_F491_4F6C_DD1Du64 ^ n as u64;
@@ -113,13 +113,18 @@ fn bench_engine_variants(c: &mut Criterion) {
                 CovScheme::Single,
                 budget,
             );
-            let engine = SelectionEngine::new(&inst);
-            for variant in EngineVariant::ALL {
-                let id = BenchmarkId::new(variant.label(), format!("n{n}/b{budget}"));
-                group.bench_with_input(id, &engine, |b, engine| {
-                    b.iter(|| std::hint::black_box(engine).select(variant, budget));
+            // Eager (Alg. 1) and CELF over one prebuilt CSR graph.
+            let csr = CsrGraph::from_group_set(&groups);
+            let id = BenchmarkId::new("eager", format!("n{n}/b{budget}"));
+            group.bench_with_input(id, &csr, |b, csr| {
+                b.iter(|| {
+                    eager_select_deadline(&inst, std::hint::black_box(csr), budget, &mut |_| false)
                 });
-            }
+            });
+            let id = BenchmarkId::new("lazy_heap", format!("n{n}/b{budget}"));
+            group.bench_with_input(id, &csr, |b, csr| {
+                b.iter(|| lazy_select_csr(&inst, std::hint::black_box(csr), budget, None));
+            });
             // The public one-shot API (CSR rebuilt per call).
             let id = BenchmarkId::new("eager_one_shot", format!("n{n}/b{budget}"));
             group.bench_with_input(id, &inst, |b, inst| {

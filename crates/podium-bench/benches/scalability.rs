@@ -5,8 +5,21 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use podium_baselines::prelude::*;
 use podium_bench::selectors::PodiumSelector;
-use podium_core::engine::EngineVariant;
+use podium_core::engine::{lazy_select_csr, CsrGraph};
+use podium_core::group::GroupSet;
+use podium_core::ids::UserId;
+use podium_core::instance::DiversificationInstance;
+use podium_core::profile::UserRepository;
 use podium_data::synth::tripadvisor;
+
+/// [`PodiumSelector::select`] with CELF ([`lazy_select_csr`]) in place of
+/// eager greedy: same grouping, same selection.
+fn podium_celf(podium: &PodiumSelector, repo: &UserRepository, b: usize) -> Vec<UserId> {
+    let groups = GroupSet::build(repo, &podium.bucketing.bucketize(repo));
+    let inst = DiversificationInstance::from_schemes(&groups, podium.weight, podium.cov, b);
+    let csr = CsrGraph::from_group_set(&groups);
+    lazy_select_csr(&inst, &csr, b, None).users
+}
 
 fn bench_users_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_users_sweep");
@@ -16,13 +29,13 @@ fn bench_users_sweep(c: &mut Criterion) {
         let repo = &dataset.repo;
         let clustering = KMeansSelector::new(5);
         let distance = DistanceSelector::new(5);
-        for variant in EngineVariant::ALL {
-            let podium = PodiumSelector::paper_default().with_engine(variant);
-            let id = BenchmarkId::new(format!("podium_{}", variant.label()), users);
-            group.bench_with_input(id, repo, |b, r| {
-                b.iter(|| podium.select(std::hint::black_box(r), 8));
-            });
-        }
+        let podium = PodiumSelector::paper_default();
+        group.bench_with_input(BenchmarkId::new("podium_eager", users), repo, |b, r| {
+            b.iter(|| podium.select(std::hint::black_box(r), 8));
+        });
+        group.bench_with_input(BenchmarkId::new("podium_lazy_heap", users), repo, |b, r| {
+            b.iter(|| podium_celf(&podium, std::hint::black_box(r), 8));
+        });
         group.bench_with_input(BenchmarkId::new("clustering", users), repo, |b, r| {
             b.iter(|| clustering.select(std::hint::black_box(r), 8));
         });

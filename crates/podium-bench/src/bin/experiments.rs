@@ -483,6 +483,7 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
 fn run_ablation(scale: f64, budget: usize, seed: u64) {
     use podium_bench::selectors::PodiumSelector;
     use podium_core::bucket::{BucketStrategy, BucketingConfig};
+    use podium_core::engine::{lazy_select_csr, CsrGraph};
     use podium_core::group::GroupSet;
     use podium_core::instance::DiversificationInstance;
     use podium_core::weights::{CovScheme, WeightScheme};
@@ -603,12 +604,21 @@ fn run_ablation(scale: f64, budget: usize, seed: u64) {
         }
     }
 
-    // Greedy engines: eager vs lazy (CELF) vs stochastic.
+    // Greedy engines: eager vs lazy (CELF) vs stochastic. Both greedy runs
+    // start from the repository, so each time includes grouping.
     println!("\ngreedy engine ablation:");
-    for (name, lazy) in [("eager", false), ("lazy (CELF)", true)] {
-        let selector = PodiumSelector::paper_default().with_lazy(lazy);
+    let podium = PodiumSelector::paper_default();
+    for (name, celf) in [("eager", false), ("lazy (CELF)", true)] {
         let t0 = std::time::Instant::now();
-        let sel = podium_baselines::selector::Selector::select(&selector, repo, budget);
+        let sel = if celf {
+            let groups = GroupSet::build(repo, &podium.bucketing.bucketize(repo));
+            let inst =
+                DiversificationInstance::from_schemes(&groups, podium.weight, podium.cov, budget);
+            let csr = CsrGraph::from_group_set(&groups);
+            lazy_select_csr(&inst, &csr, budget, None).users
+        } else {
+            podium_baselines::selector::Selector::select(&podium, repo, budget)
+        };
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         let score = eval.score_of(&sel);
         println!("  {name:>16}: score {score:>10.1} in {ms:.1} ms");

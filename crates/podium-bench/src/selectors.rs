@@ -2,7 +2,7 @@
 
 use podium_baselines::prelude::*;
 use podium_core::bucket::BucketingConfig;
-use podium_core::engine::{EngineVariant, SelectionEngine};
+use podium_core::greedy::greedy_select;
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
 use podium_core::instance::DiversificationInstance;
@@ -20,9 +20,6 @@ pub struct PodiumSelector {
     pub weight: WeightScheme,
     /// Coverage scheme.
     pub cov: CovScheme,
-    /// Which selection-engine variant runs the greedy loop. All variants
-    /// produce identical selections; they differ only in throughput.
-    pub engine: EngineVariant,
 }
 
 impl PodiumSelector {
@@ -32,29 +29,12 @@ impl PodiumSelector {
             bucketing: BucketingConfig::adaptive_default(),
             weight: WeightScheme::LinearBySize,
             cov: CovScheme::Single,
-            engine: EngineVariant::Eager,
         }
     }
 
     /// Overrides the bucketing configuration.
     pub fn with_bucketing(mut self, b: BucketingConfig) -> Self {
         self.bucketing = b;
-        self
-    }
-
-    /// Switches between the eager and lazy-heap (CELF) implementations.
-    /// Kept for compatibility; prefer [`Self::with_engine`].
-    pub fn with_lazy(self, lazy: bool) -> Self {
-        self.with_engine(if lazy {
-            EngineVariant::LazyHeap
-        } else {
-            EngineVariant::Eager
-        })
-    }
-
-    /// Selects the engine variant that runs the greedy loop.
-    pub fn with_engine(mut self, engine: EngineVariant) -> Self {
-        self.engine = engine;
         self
     }
 }
@@ -71,8 +51,7 @@ impl Selector for PodiumSelector {
         let buckets = self.bucketing.bucketize(repo);
         let groups = GroupSet::build(repo, &buckets);
         let inst = DiversificationInstance::from_schemes(&groups, self.weight, self.cov, b);
-        let sel = SelectionEngine::new(&inst).select(self.engine, b);
-        sel.users
+        greedy_select(&inst, b).users
     }
 }
 
@@ -99,50 +78,6 @@ mod tests {
             .select(&repo, 2);
         let names: Vec<&str> = sel.iter().map(|&u| repo.user_name(u).unwrap()).collect();
         assert_eq!(names, vec!["Alice", "Eve"]);
-    }
-
-    #[test]
-    fn every_engine_variant_picks_the_same_users() {
-        let repo = podium_data::table2::table2();
-        let eager = PodiumSelector::paper_default()
-            .with_bucketing(BucketingConfig::paper_default())
-            .select(&repo, 3);
-        for variant in EngineVariant::ALL {
-            let picked = PodiumSelector::paper_default()
-                .with_bucketing(BucketingConfig::paper_default())
-                .with_engine(variant)
-                .select(&repo, 3);
-            assert_eq!(picked, eager, "variant {}", variant.label());
-        }
-    }
-
-    #[test]
-    fn with_lazy_maps_onto_engine_variants() {
-        let base = PodiumSelector::paper_default();
-        assert_eq!(base.clone().with_lazy(true).engine, EngineVariant::LazyHeap);
-        assert_eq!(base.with_lazy(false).engine, EngineVariant::Eager);
-    }
-
-    #[test]
-    fn lazy_matches_eager_score() {
-        let repo = podium_data::table2::table2();
-        let eager = PodiumSelector::paper_default()
-            .with_bucketing(BucketingConfig::paper_default())
-            .select(&repo, 3);
-        let lazy = PodiumSelector::paper_default()
-            .with_bucketing(BucketingConfig::paper_default())
-            .with_lazy(true)
-            .select(&repo, 3);
-        // Same objective value even if tie-broken differently.
-        let buckets = BucketingConfig::paper_default().bucketize(&repo);
-        let groups = GroupSet::build(&repo, &buckets);
-        let inst = DiversificationInstance::from_schemes(
-            &groups,
-            WeightScheme::LinearBySize,
-            CovScheme::Single,
-            3,
-        );
-        assert_eq!(inst.score_of(&eager), inst.score_of(&lazy));
     }
 
     #[test]

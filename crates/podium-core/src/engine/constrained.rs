@@ -455,7 +455,7 @@ impl Oracle {
                 cap = cap.min(headroom[i].saturating_sub(adds[i]));
             }
         }
-        cap = cap.min(useful.max(0));
+        cap = cap.min(useful);
         let mut ok = false;
         for c in 0..=cap {
             let mut next_needs = needs.to_vec();

@@ -1,9 +1,10 @@
 //! Algorithm 1 (eager greedy) over CSR storage.
 //!
 //! Logic and edge order are identical to the historical nested-`Vec`
-//! implementation in [`crate::greedy`] (which now delegates here); only the
-//! adjacency representation changed, so selections — users, gains, score,
-//! covered counts — are bit-for-bit the same.
+//! implementation; only the adjacency representation changed, so
+//! selections — users, gains, score, covered counts — are bit-for-bit the
+//! same. [`crate::greedy::greedy_select_opts`] and
+//! [`super::eager_select_deadline`] are its entry points.
 //!
 //! The `FirstUser` argmax is *ceiling-bounded*: marginals only ever
 //! decrease, so the previous round's maximum bounds every current
@@ -29,7 +30,7 @@ use super::csr::CsrGraph;
 /// ends the run, and the flag returned beside the selection is `false`
 /// iff that happened. The partial selection is exactly the greedy prefix
 /// of the full run.
-pub(super) fn eager_select<W: ScoreValue>(
+pub(crate) fn eager_select<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
     b: usize,

@@ -15,14 +15,8 @@
 //! `LexPair` of these) the lazy selection is bit-identical to the eager
 //! one: same users, gains, score, and covered counts.
 //!
-//! Stale tops are refreshed in *bursts*: up to [`super::par::refresh_burst_cap`]
-//! consecutive stale entries are popped together and re-evaluated through
-//! [`super::par::map_gains`], which chunks them across scoped threads when
-//! the `parallel` feature is on and the burst is large. With the feature
-//! off — or on a single-worker machine, where batching cannot pay for the
-//! extra refreshes — the cap is 1: the classic one-at-a-time CELF refresh.
-//! The burst size never affects the selected sequence (bounds only
-//! tighten), so every cap yields the same bit-identical result.
+//! Stale tops are refreshed one at a time (the classic CELF refresh) and
+//! reinserted with the current round's gain.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -33,7 +27,6 @@ use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
 
 use super::csr::CsrGraph;
-use super::par;
 
 /// A (possibly stale) upper bound on one candidate's marginal gain.
 /// Shared with the quota-constrained variant (`super::constrained`) so
@@ -67,69 +60,20 @@ impl<W: ScoreValue> Ord for HeapEntry<W> {
     }
 }
 
-/// Sequential CELF: one-at-a-time refresh, single-threaded initial gains.
+/// CELF lazy greedy: round-0 bounds are the exact initial marginals, and
+/// every stale top is refreshed and reinserted until a fresh one surfaces.
 pub(super) fn lazy_select<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
     b: usize,
     eligible: Option<&[bool]>,
 ) -> Selection<W> {
-    lazy_core(
-        inst,
-        csr,
-        b,
-        eligible,
-        1,
-        |candidates: &[u32], eval: &(dyn Fn(u32) -> W + Sync)| {
-            candidates.iter().map(|&u| eval(u)).collect()
-        },
-    )
-}
-
-/// Parallel-capable CELF: initial gains and large refresh bursts are
-/// chunked across scoped threads when the `parallel` feature is enabled;
-/// otherwise the evaluation strategy degrades to a sequential map and the
-/// refresh burst cap drops to 1. Selections are identical either way.
-pub(super) fn lazy_select_parallel<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    eligible: Option<&[bool]>,
-) -> Selection<W> {
-    lazy_core(
-        inst,
-        csr,
-        b,
-        eligible,
-        par::refresh_burst_cap(),
-        |ids: &[u32], eval: &(dyn Fn(u32) -> W + Sync)| par::map_gains(ids, eval),
-    )
-}
-
-/// The shared CELF loop, generic over the batch evaluation strategy.
-///
-/// `evaluate(candidates, eval)` must return `eval(u)` for every candidate
-/// in input order; the sequential and scoped-thread strategies only differ
-/// in scheduling.
-fn lazy_core<W, E>(
-    inst: &DiversificationInstance<'_, W>,
-    csr: &CsrGraph,
-    b: usize,
-    eligible: Option<&[bool]>,
-    burst_cap: usize,
-    evaluate: E,
-) -> Selection<W>
-where
-    W: ScoreValue,
-    E: Fn(&[u32], &(dyn Fn(u32) -> W + Sync)) -> Vec<W>,
-{
     let n = csr.user_count();
     if let Some(e) = eligible {
         assert_eq!(e.len(), n, "one eligibility flag per user");
     }
     let weights = inst.weights();
     let mut cov_rem: Vec<u32> = inst.covs().to_vec();
-    let burst_cap = burst_cap.max(1);
 
     // The current marginal of `u` given the remaining coverages. Skipping
     // zero-weight groups mirrors the eager initialization ("remove links",
@@ -146,16 +90,11 @@ where
     };
 
     // Round-0 bounds: the exact initial marginals — the one full scan
-    // this algorithm performs, and the main parallelization target.
-    let candidates: Vec<u32> = (0..n as u32)
+    // this algorithm performs.
+    let mut heap: BinaryHeap<HeapEntry<W>> = (0..n as u32)
         .filter(|&u| eligible.is_none_or(|e| e[u as usize]))
-        .collect();
-    let initial = evaluate(&candidates, &|u| fresh_gain(u, &cov_rem));
-    let mut heap: BinaryHeap<HeapEntry<W>> = candidates
-        .iter()
-        .zip(initial)
-        .map(|(&user, gain)| HeapEntry {
-            gain,
+        .map(|user| HeapEntry {
+            gain: fresh_gain(user, &cov_rem),
             user,
             round: 0,
         })
@@ -184,37 +123,13 @@ where
             round += 1;
             continue;
         }
-        // Stale upper bound: refresh and reinsert. The classic cap-1 CELF
-        // refresh stays allocation-free — it runs tens of thousands of
-        // times per selection.
-        if burst_cap == 1 {
-            let gain = fresh_gain(top.user, &cov_rem);
-            heap.push(HeapEntry {
-                gain,
-                user: top.user,
-                round,
-            });
-            continue;
-        }
-        // Gather a burst of consecutive stale tops, refresh them all
-        // through the batch evaluator, and reinsert. Refreshing extra
-        // entries is wasted work at worst — bounds only tighten, never
-        // loosen — so the invariant (and the selected sequence) is
-        // unaffected.
-        let mut batch = vec![top];
-        while batch.len() < burst_cap {
-            match heap.peek() {
-                Some(e) if e.round != round => {
-                    batch.push(heap.pop().expect("peeked entry exists"));
-                }
-                _ => break,
-            }
-        }
-        let ids: Vec<u32> = batch.iter().map(|e| e.user).collect();
-        let refreshed = evaluate(&ids, &|u| fresh_gain(u, &cov_rem));
-        for (user, gain) in ids.into_iter().zip(refreshed) {
-            heap.push(HeapEntry { gain, user, round });
-        }
+        // Stale upper bound: refresh and reinsert.
+        let gain = fresh_gain(top.user, &cov_rem);
+        heap.push(HeapEntry {
+            gain,
+            user: top.user,
+            round,
+        });
     }
 
     Selection::from_parts(users, gains, score, covered_counts)
@@ -223,46 +138,98 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::greedy_select;
     use crate::group::GroupSet;
     use crate::weights::{CovScheme, WeightScheme};
 
-    /// Any burst cap must select the identical sequence: extra refreshes
-    /// only tighten bounds.
-    #[test]
-    fn burst_cap_never_changes_the_selection() {
-        let mut state = 11u64;
-        let mut next = move |m: usize| {
+    fn celf(inst: &DiversificationInstance<'_, f64>, b: usize) -> Selection<f64> {
+        lazy_select(inst, &CsrGraph::from_group_set(inst.groups()), b, None)
+    }
+
+    fn random_instance(seed: u64, users: usize, groups: usize) -> GroupSet {
+        // Tiny deterministic LCG so this test needs no RNG dependency.
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let mut next = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((state >> 33) % m as u64) as usize
+            (state >> 33) as usize
         };
-        let users = 40;
-        let memberships: Vec<Vec<UserId>> = (0..55)
+        let memberships: Vec<Vec<UserId>> = (0..groups)
             .map(|_| {
-                (0..1 + next(9))
-                    .map(|_| UserId(next(users) as u32))
-                    .collect()
+                let size = 1 + next() % users;
+                let mut m: Vec<UserId> = (0..size)
+                    .map(|_| UserId::from_index(next() % users))
+                    .collect();
+                m.sort();
+                m.dedup();
+                m
             })
             .collect();
-        let groups = GroupSet::from_memberships(users, memberships);
+        GroupSet::from_memberships(users, memberships)
+    }
+
+    #[test]
+    fn matches_eager_on_random_instances() {
+        for seed in 0..20 {
+            let g = random_instance(seed, 12, 25);
+            let inst = DiversificationInstance::from_schemes(
+                &g,
+                WeightScheme::LinearBySize,
+                CovScheme::Single,
+                4,
+            );
+            let eager = greedy_select(&inst, 4);
+            let lazy = celf(&inst, 4);
+            assert_eq!(lazy, eager, "seed {seed}: CELF must equal eager greedy");
+            assert_eq!(lazy.score, inst.score_of(&lazy.users), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn identical_selection_under_unique_maxima() {
+        let g = GroupSet::from_memberships(
+            3,
+            vec![vec![UserId(0)], vec![UserId(0), UserId(1)], vec![UserId(2)]],
+        );
+        let inst = DiversificationInstance::new(&g, vec![4.0, 2.0, 3.0], vec![1; 3]);
+        let eager = greedy_select(&inst, 2);
+        let lazy = celf(&inst, 2);
+        assert_eq!(eager.users, lazy.users);
+        assert_eq!(eager.gains, lazy.gains);
+    }
+
+    #[test]
+    fn respects_budget_and_pool() {
+        let g = random_instance(3, 6, 10);
         let inst = DiversificationInstance::from_schemes(
-            &groups,
-            WeightScheme::LinearBySize,
-            CovScheme::Proportional,
+            &g,
+            WeightScheme::Identical,
+            CovScheme::Single,
             10,
         );
-        let csr = CsrGraph::from_group_set(&groups);
-        let seq = |ids: &[u32], eval: &(dyn Fn(u32) -> f64 + Sync)| -> Vec<f64> {
-            ids.iter().map(|&u| eval(u)).collect()
-        };
-        let reference = lazy_core(&inst, &csr, 10, None, 1, seq);
-        for cap in [2usize, 3, 7, 64, 4096] {
-            let sel = lazy_core(&inst, &csr, 10, None, cap, seq);
-            assert_eq!(sel.users, reference.users, "cap {cap}");
-            assert_eq!(sel.gains, reference.gains, "cap {cap}");
-            assert_eq!(sel.score, reference.score, "cap {cap}");
-            assert_eq!(sel.covered_counts, reference.covered_counts, "cap {cap}");
-        }
+        let sel = celf(&inst, 10);
+        assert_eq!(sel.users.len(), 6, "pool exhausted");
+        let mut sorted = sel.users.clone();
+        sorted.sort();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 6, "no duplicates");
+    }
+
+    #[test]
+    fn eligibility_filter() {
+        let g =
+            GroupSet::from_memberships(3, vec![vec![UserId(0)], vec![UserId(1)], vec![UserId(2)]]);
+        let inst = DiversificationInstance::new(&g, vec![9.0, 1.0, 2.0], vec![1; 3]);
+        let csr = CsrGraph::from_group_set(&g);
+        let sel = lazy_select(&inst, &csr, 1, Some(&[false, true, true]));
+        assert_eq!(sel.users, vec![UserId(2)]);
+    }
+
+    #[test]
+    fn proportional_coverage() {
+        let g = GroupSet::from_memberships(3, vec![vec![UserId(0), UserId(1), UserId(2)]]);
+        let inst = DiversificationInstance::new(&g, vec![1.0], vec![2]);
+        assert_eq!(celf(&inst, 3).score, 2.0);
     }
 }

@@ -1,21 +1,20 @@
-//! The high-throughput selection engine: CSR group storage, heap-based
-//! lazy greedy, and (optionally) multi-threaded marginal evaluation.
+//! The selection engine: CSR group storage and the greedy kernels that
+//! walk it. Each algorithm has one public entry point:
 //!
-//! The historical entry points — [`crate::greedy::greedy_select`],
-//! [`crate::lazy_greedy::lazy_greedy_select`],
-//! [`crate::stochastic_greedy::stochastic_greedy_select`] — remain the
-//! stable API and now delegate here; their results are unchanged. This
-//! module additionally exposes the pieces for callers that select
-//! repeatedly from the same group set:
+//! | Algorithm | Entry point |
+//! |---|---|
+//! | Alg. 1, one-shot | [`crate::greedy::greedy_select`], [`crate::greedy::greedy_select_opts`] |
+//! | Alg. 1, prebuilt CSR | [`eager_select_deadline`] |
+//! | CELF reference | [`lazy_select_csr`] |
+//! | Stochastic | [`crate::stochastic_greedy::stochastic_greedy_select`] |
+//! | Quota-constrained | [`constrained_lazy_select`] |
+//! | Exact | [`crate::exact::exact_select`] |
 //!
-//! * [`CsrGraph`] — the flat bipartite user ↔ group adjacency, built once
-//!   from a [`GroupSet`] in `O(|V| + |E|)` and shared across runs;
-//! * [`SelectionEngine`] — couples an instance with its CSR graph and runs
-//!   any [`EngineVariant`];
-//! * the `parallel` cargo feature (default **off**, zero new dependencies)
-//!   — chunks marginal evaluations across `std::thread::scope` workers for
-//!   the [`EngineVariant::LazyHeapParallel`] paths; with the feature off
-//!   those paths fall back to the sequential implementation.
+//! [`CsrGraph`] is the flat bipartite user ↔ group adjacency, built once
+//! from a [`crate::group::GroupSet`] in `O(|V| + |E|)`; the prebuilt-CSR
+//! entry points let callers that select repeatedly from one group set
+//! (the serving snapshots) skip that rebuild. The one-shot entry points
+//! build it per call.
 //!
 //! Complexity: eager greedy is `O(|E| + B·n + Σ_{covered G} |G|)`, where
 //! the `B·n` argmax scans are ceiling-bounded — a round whose maximum
@@ -26,14 +25,15 @@
 //! refreshes. `r ≪ n` when bounds separate (the CELF effect); when many
 //! near-tied bounds crowd the heap top, `r` grows to thousands per round
 //! and the eager kernel wins — which is why [`eager_select_deadline`]
-//! serves selects and [`lazy_select_csr`] stays the reference.
+//! serves selects and [`lazy_select_csr`] stays the reference. Under the
+//! `FirstUser` tie-break and exact score arithmetic the two return
+//! bit-identical selections.
 
 pub mod anneal;
 pub mod constrained;
 pub mod csr;
 mod eager;
 mod lazy;
-mod par;
 mod stochastic;
 
 pub use anneal::{anneal_refine, splitmix64, AnnealSchedule};
@@ -42,123 +42,16 @@ pub use constrained::{
     QuotaBound, QuotaError, QuotaSet,
 };
 pub use csr::CsrGraph;
+pub(crate) use eager::eager_select;
+pub(crate) use stochastic::stochastic_select;
 
 use crate::greedy::{Selection, TieBreak};
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
 
-/// Which selection algorithm the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineVariant {
-    /// Algorithm 1 with decremental marginal maintenance (the paper's
-    /// eager update scheme).
-    Eager,
-    /// CELF lazy greedy over a max-heap of stale upper bounds; selections
-    /// are bit-identical to [`EngineVariant::Eager`] under the `FirstUser`
-    /// tie-break and exact score arithmetic.
-    LazyHeap,
-    /// [`EngineVariant::LazyHeap`] with initial gains and large refresh
-    /// bursts chunked across scoped threads (`parallel` feature; sequential
-    /// fallback when the feature is off or the pool is small).
-    LazyHeapParallel,
-}
-
-impl EngineVariant {
-    /// Every variant, for benchmark sweeps.
-    pub const ALL: [EngineVariant; 3] = [
-        EngineVariant::Eager,
-        EngineVariant::LazyHeap,
-        EngineVariant::LazyHeapParallel,
-    ];
-
-    /// A stable snake_case label for reports and benchmark ids.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineVariant::Eager => "eager",
-            EngineVariant::LazyHeap => "lazy_heap",
-            EngineVariant::LazyHeapParallel => "lazy_heap_parallel",
-        }
-    }
-}
-
-/// A diversification instance coupled with the CSR form of its group graph.
-///
-/// Building the engine performs the one-time `O(|V| + |E|)` CSR
-/// construction; every selection after that walks flat arrays only.
-#[derive(Debug, Clone)]
-pub struct SelectionEngine<'i, W: ScoreValue> {
-    inst: &'i DiversificationInstance<'i, W>,
-    csr: CsrGraph,
-}
-
-impl<'i, W: ScoreValue> SelectionEngine<'i, W> {
-    /// Builds the engine (and the CSR graph) for an instance.
-    ///
-    /// Under debug assertions the instance is structurally validated
-    /// ([`DiversificationInstance::validate`]) and the freshly built CSR
-    /// graph checks its own invariants — selector harnesses running with
-    /// `RUSTFLAGS="-C debug-assertions"` therefore vet every instance they
-    /// select from. Release builds skip both checks.
-    pub fn new(inst: &'i DiversificationInstance<'i, W>) -> Self {
-        debug_assert!(
-            inst.validate().is_ok(),
-            "refusing to build engine: {}",
-            inst.validate().unwrap_err()
-        );
-        let csr = CsrGraph::from_group_set(inst.groups());
-        Self { inst, csr }
-    }
-
-    /// The CSR graph, for callers that want raw adjacency access.
-    pub fn csr(&self) -> &CsrGraph {
-        &self.csr
-    }
-
-    /// The underlying instance.
-    pub fn instance(&self) -> &'i DiversificationInstance<'i, W> {
-        self.inst
-    }
-
-    /// Runs `variant` with budget `b` (no eligibility filter, `FirstUser`
-    /// ties).
-    pub fn select(&self, variant: EngineVariant, b: usize) -> Selection<W> {
-        match variant {
-            EngineVariant::Eager => self.eager(b, None, TieBreak::FirstUser),
-            EngineVariant::LazyHeap => self.lazy(b, None),
-            EngineVariant::LazyHeapParallel => self.lazy_parallel(b, None),
-        }
-    }
-
-    /// Eager greedy (Algorithm 1) with an optional eligibility filter and
-    /// tie-break policy.
-    pub fn eager(&self, b: usize, eligible: Option<&[bool]>, tie_break: TieBreak) -> Selection<W> {
-        eager::eager_select(self.inst, &self.csr, b, eligible, tie_break, &mut |_| false).0
-    }
-
-    /// Sequential CELF lazy greedy. `FirstUser` tie-break only — for
-    /// `Seeded` ties use [`SelectionEngine::eager`], whose reservoir
-    /// sampling needs the full candidate scan.
-    pub fn lazy(&self, b: usize, eligible: Option<&[bool]>) -> Selection<W> {
-        lazy::lazy_select(self.inst, &self.csr, b, eligible)
-    }
-
-    /// CELF lazy greedy with multi-threaded marginal evaluation (`parallel`
-    /// feature; sequential fallback otherwise). Same selection as
-    /// [`SelectionEngine::lazy`].
-    pub fn lazy_parallel(&self, b: usize, eligible: Option<&[bool]>) -> Selection<W> {
-        lazy::lazy_select_parallel(self.inst, &self.csr, b, eligible)
-    }
-
-    /// Stochastic greedy (see [`crate::stochastic_greedy`]).
-    pub fn stochastic(&self, b: usize, epsilon: f64, seed: u64) -> Selection<W> {
-        stochastic::stochastic_select(self.inst, &self.csr, b, epsilon, seed)
-    }
-}
-
-/// Sequential CELF lazy greedy against a caller-provided, prebuilt CSR
-/// graph — the entry point for serving layers that keep one [`CsrGraph`]
-/// per repository snapshot and select from it across many requests without
-/// paying the `O(|V| + |E|)` rebuild that [`SelectionEngine::new`] performs.
+/// CELF lazy greedy (`FirstUser` ties) against a prebuilt CSR graph — the
+/// bit-identity reference for the eager kernel, with an optional
+/// per-user eligibility filter.
 ///
 /// `csr` must have been built from `inst.groups()` (or an equivalent
 /// member-list ordering); this is checked under debug assertions.
@@ -204,47 +97,10 @@ pub fn eager_select_deadline<W: ScoreValue>(
     eager::eager_select(inst, csr, b, None, TieBreak::FirstUser, should_stop)
 }
 
-/// Crate-internal one-shot helpers for the delegating legacy entry points
-/// (they build the CSR graph per call; the engine type amortizes it).
-pub(crate) fn eager_once<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    b: usize,
-    eligible: Option<&[bool]>,
-    tie_break: TieBreak,
-) -> Selection<W> {
-    debug_assert!(
-        inst.validate().is_ok(),
-        "invalid instance: {}",
-        inst.validate().unwrap_err()
-    );
-    let csr = CsrGraph::from_group_set(inst.groups());
-    eager::eager_select(inst, &csr, b, eligible, tie_break, &mut |_| false).0
-}
-
-/// One-shot sequential lazy greedy (see [`eager_once`]).
-pub(crate) fn lazy_once<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    b: usize,
-    eligible: Option<&[bool]>,
-) -> Selection<W> {
-    let csr = CsrGraph::from_group_set(inst.groups());
-    lazy::lazy_select(inst, &csr, b, eligible)
-}
-
-/// One-shot stochastic greedy (see [`eager_once`]).
-pub(crate) fn stochastic_once<W: ScoreValue>(
-    inst: &DiversificationInstance<'_, W>,
-    b: usize,
-    epsilon: f64,
-    seed: u64,
-) -> Selection<W> {
-    let csr = CsrGraph::from_group_set(inst.groups());
-    stochastic::stochastic_select(inst, &csr, b, epsilon, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::{greedy_select, greedy_select_opts};
     use crate::group::GroupSet;
     use crate::ids::UserId;
     use crate::weights::{CovScheme, WeightScheme};
@@ -282,10 +138,11 @@ mod tests {
     /// weight schemes (`Identical` makes ties the rule), budgets past
     /// saturation up to the whole population, and eligibility masks.
     #[test]
-    fn all_variants_agree_exactly() {
+    fn all_entry_points_agree_exactly() {
         let n = 30;
         for seed in 0..12 {
             let g = random_groups(seed, n, 45);
+            let csr = CsrGraph::from_group_set(&g);
             for (w, c) in [
                 (WeightScheme::LinearBySize, CovScheme::Proportional),
                 (WeightScheme::LinearBySize, CovScheme::Single),
@@ -294,22 +151,17 @@ mod tests {
             ] {
                 for b in [1, 6, 15, n, n + 3] {
                     let inst = DiversificationInstance::from_schemes(&g, w, c, b);
-                    let engine = SelectionEngine::new(&inst);
-                    let lazy = engine.select(EngineVariant::LazyHeap, b);
+                    let lazy = lazy_select_csr(&inst, &csr, b, None);
                     let ctx = format!("seed {seed} {w:?}/{c:?} b={b}");
-                    for variant in [EngineVariant::Eager, EngineVariant::LazyHeapParallel] {
-                        let sel = engine.select(variant, b);
-                        assert_same(&sel, &lazy, &format!("{ctx} {variant:?}"));
-                    }
-                    let (served, completed) =
-                        eager_select_deadline(&inst, engine.csr(), b, &mut |_| false);
+                    assert_same(&greedy_select(&inst, b), &lazy, &format!("{ctx} one-shot"));
+                    let (served, completed) = eager_select_deadline(&inst, &csr, b, &mut |_| false);
                     assert!(completed);
                     assert_same(&served, &lazy, &format!("{ctx} deadline"));
                     let mask: Vec<bool> = (0..n)
                         .map(|u| !(u * 7 + seed as usize).is_multiple_of(3))
                         .collect();
-                    let eager = engine.eager(b, Some(&mask), TieBreak::FirstUser);
-                    let lazy = engine.lazy(b, Some(&mask));
+                    let eager = greedy_select_opts(&inst, b, Some(&mask), TieBreak::FirstUser);
+                    let lazy = lazy_select_csr(&inst, &csr, b, Some(&mask));
                     assert_same(&eager, &lazy, &format!("{ctx} masked"));
                     assert!(eager.users.iter().all(|u| mask[u.index()]), "{ctx}");
                 }
@@ -318,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_legacy_entry_points() {
+    fn one_shot_entry_points_match_prebuilt_csr() {
         let g = random_groups(5, 20, 30);
         let inst = DiversificationInstance::from_schemes(
             &g,
@@ -326,17 +178,15 @@ mod tests {
             CovScheme::Single,
             5,
         );
-        let engine = SelectionEngine::new(&inst);
-        let legacy = crate::greedy::greedy_select(&inst, 5);
-        assert_eq!(engine.select(EngineVariant::Eager, 5), legacy);
-        let legacy_lazy = crate::lazy_greedy::lazy_greedy_select(&inst, 5);
-        assert_eq!(engine.select(EngineVariant::LazyHeap, 5), legacy_lazy);
-        let legacy_stoch = crate::stochastic_greedy::stochastic_greedy_select(&inst, 5, 0.2, 9);
-        assert_eq!(engine.stochastic(5, 0.2, 9), legacy_stoch);
+        let csr = CsrGraph::from_group_set(&g);
+        let (served, _) = eager_select_deadline(&inst, &csr, 5, &mut |_| false);
+        assert_eq!(greedy_select(&inst, 5), served);
+        let one_shot = crate::stochastic_greedy::stochastic_greedy_select(&inst, 5, 0.2, 9);
+        assert_eq!(stochastic_select(&inst, &csr, 5, 0.2, 9), one_shot);
     }
 
     #[test]
-    fn eligibility_respected_by_every_variant() {
+    fn eligibility_respected_by_eager_and_celf() {
         let g = random_groups(2, 10, 15);
         let inst = DiversificationInstance::from_schemes(
             &g,
@@ -344,23 +194,21 @@ mod tests {
             CovScheme::Single,
             3,
         );
-        let engine = SelectionEngine::new(&inst);
         let mut eligible = vec![true; 10];
         eligible[0] = false;
         eligible[4] = false;
-        let eager = engine.eager(3, Some(&eligible), TieBreak::FirstUser);
-        let lazy = engine.lazy(3, Some(&eligible));
-        let par = engine.lazy_parallel(3, Some(&eligible));
+        let eager = greedy_select_opts(&inst, 3, Some(&eligible), TieBreak::FirstUser);
+        let csr = CsrGraph::from_group_set(&g);
+        let lazy = lazy_select_csr(&inst, &csr, 3, Some(&eligible));
         assert_eq!(eager.users, lazy.users);
-        assert_eq!(eager.users, par.users);
-        for sel in [&eager, &lazy, &par] {
+        for sel in [&eager, &lazy] {
             assert!(!sel.contains(UserId(0)));
             assert!(!sel.contains(UserId(4)));
         }
     }
 
     #[test]
-    fn csr_reuse_entry_point_matches_engine() {
+    fn csr_entry_points_match_one_shot_greedy() {
         let g = random_groups(7, 25, 40);
         let inst = DiversificationInstance::from_schemes(
             &g,
@@ -368,17 +216,15 @@ mod tests {
             CovScheme::Single,
             6,
         );
-        let engine = SelectionEngine::new(&inst);
-        let via_engine = engine.lazy(6, None);
+        let one_shot = greedy_select(&inst, 6);
         let csr = CsrGraph::from_group_set(&g);
-        let via_csr = lazy_select_csr(&inst, &csr, 6, None);
-        assert_eq!(via_csr, via_engine);
+        assert_eq!(lazy_select_csr(&inst, &csr, 6, None), one_shot);
         let (complete, finished) = eager_select_deadline(&inst, &csr, 6, &mut |_| false);
         assert!(finished);
-        assert_eq!(complete, via_engine);
+        assert_eq!(complete, one_shot);
         let (truncated, finished) = eager_select_deadline(&inst, &csr, 6, &mut |k| k >= 2);
         assert!(!finished);
-        assert_eq!(truncated.users, via_engine.users[..2]);
+        assert_eq!(truncated.users, one_shot.users[..2]);
     }
 
     /// Interrupting after `k` committed rounds must yield exactly the
@@ -414,11 +260,5 @@ mod tests {
         assert_eq!(all.users, full.users);
         assert_eq!(all.score, full.score);
         assert_eq!(all.covered_counts, full.covered_counts);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        let labels: Vec<&str> = EngineVariant::ALL.iter().map(|v| v.label()).collect();
-        assert_eq!(labels, vec!["eager", "lazy_heap", "lazy_heap_parallel"]);
     }
 }

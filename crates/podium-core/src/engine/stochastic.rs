@@ -1,8 +1,9 @@
 //! Stochastic greedy (Mirzasoleiman et al., AAAI 2015) over CSR storage.
 //!
 //! Same sampling scheme, RNG stream, and edge order as the historical
-//! implementation in [`crate::stochastic_greedy`] (which now delegates
-//! here), so selections are unchanged for a fixed seed.
+//! nested-`Vec` implementation, so selections are unchanged for a fixed
+//! seed. [`crate::stochastic_greedy::stochastic_greedy_select`] is its
+//! entry point.
 
 use crate::greedy::Selection;
 use crate::ids::UserId;
@@ -14,7 +15,7 @@ use super::csr::CsrGraph;
 
 /// Stochastic greedy with accuracy parameter `epsilon ∈ (0, 1)`; each round
 /// evaluates a fresh random sample of `⌈(n/B)·ln(1/ε)⌉` candidates.
-pub(super) fn stochastic_select<W: ScoreValue>(
+pub(crate) fn stochastic_select<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
     b: usize,

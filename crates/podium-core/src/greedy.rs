@@ -15,8 +15,8 @@
 //! `O(B · max_G |G| · max_u |{G | u ∈ G}|)`.
 //!
 //! The traversal itself runs in [`crate::engine`] over compressed
-//! sparse-row (CSR) adjacency; this module keeps the stable public entry
-//! points and the [`Selection`]/[`TieBreak`] types.
+//! sparse-row (CSR) adjacency; this module holds the one-shot entry points
+//! and the [`Selection`]/[`TieBreak`] types.
 
 //! ```
 //! use podium_core::prelude::*;
@@ -32,6 +32,7 @@
 //! assert_eq!(sel.score, 5.0);
 //! ```
 
+use crate::engine::CsrGraph;
 use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
@@ -104,13 +105,25 @@ pub fn greedy_select<W: ScoreValue>(
 ///
 /// `eligible`, when given, restricts the candidate pool (used by the
 /// customization refinement `𝒰'` of §6); it must have one entry per user.
+///
+/// Builds the CSR graph per call; callers selecting repeatedly from one
+/// group set keep a [`CsrGraph`] and use
+/// [`crate::engine::eager_select_deadline`]. Under debug assertions the
+/// instance is structurally validated
+/// ([`DiversificationInstance::validate`]) first.
 pub fn greedy_select_opts<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     b: usize,
     eligible: Option<&[bool]>,
     tie_break: TieBreak,
 ) -> Selection<W> {
-    crate::engine::eager_once(inst, b, eligible, tie_break)
+    debug_assert!(
+        inst.validate().is_ok(),
+        "invalid instance: {}",
+        inst.validate().unwrap_err()
+    );
+    let csr = CsrGraph::from_group_set(inst.groups());
+    crate::engine::eager_select(inst, &csr, b, eligible, tie_break, &mut |_| false).0
 }
 
 #[cfg(test)]

@@ -262,7 +262,9 @@ impl IncrementalGroups {
     /// directly from the maintained slots — same group ordering as
     /// [`IncrementalGroups::snapshot`], without cloning the member lists
     /// into an intermediate [`GroupSet`]. Pair it with a snapshot taken at
-    /// the same time when building a [`crate::engine::SelectionEngine`].
+    /// the same time when calling the prebuilt-CSR entry points
+    /// ([`crate::engine::eager_select_deadline`],
+    /// [`crate::engine::lazy_select_csr`]).
     pub fn snapshot_csr(&self) -> CsrGraph {
         let mut out = CsrGraph::default();
         self.snapshot_csr_into(&mut out);

@@ -24,8 +24,9 @@
 //! 4. Choose weight ([`weights::WeightScheme`]) and coverage
 //!    ([`weights::CovScheme`]) functions and assemble a
 //!    [`instance::DiversificationInstance`].
-//! 5. Run [`greedy::greedy_select`] (or [`lazy_greedy::lazy_greedy_select`],
-//!    or the exhaustive [`exact::exact_select`] on tiny instances).
+//! 5. Run [`greedy::greedy_select`] (or the exhaustive
+//!    [`exact::exact_select`] on tiny instances; [`engine`] lists every
+//!    selection algorithm's entry point).
 //! 6. Inspect the selection with [`explain`] and refine it with
 //!    [`customize`] feedback.
 //!
@@ -66,7 +67,6 @@ pub mod group;
 pub mod ids;
 pub mod incremental;
 pub mod instance;
-pub mod lazy_greedy;
 pub mod pipeline;
 pub mod profile;
 pub mod reduction;
@@ -81,7 +81,7 @@ pub mod weights;
 pub mod prelude {
     pub use crate::bucket::{Bucket, BucketSet, BucketStrategy, BucketingConfig};
     pub use crate::customize::{custom_select, CustomSelection, Feedback};
-    pub use crate::engine::{CsrGraph, EngineVariant, SelectionEngine};
+    pub use crate::engine::CsrGraph;
     pub use crate::error::{CoreError, Result};
     pub use crate::exact::exact_select;
     pub use crate::explain::{explain_group, explain_subset_group, explain_user, SelectionReport};
@@ -89,7 +89,6 @@ pub mod prelude {
     pub use crate::group::{GroupExpr, GroupSet, SimpleGroup};
     pub use crate::ids::{BucketIdx, GroupId, PropertyId, UserId};
     pub use crate::instance::DiversificationInstance;
-    pub use crate::lazy_greedy::lazy_greedy_select;
     pub use crate::pipeline::{FittedPodium, Podium};
     pub use crate::profile::{Profile, UserRepository};
     pub use crate::score::{EbsValue, LexPair, ScoreValue};

@@ -25,7 +25,6 @@ use crate::explain::SelectionReport;
 use crate::greedy::{greedy_select_opts, Selection, TieBreak};
 use crate::group::GroupSet;
 use crate::instance::DiversificationInstance;
-use crate::lazy_greedy::lazy_greedy_select;
 use crate::profile::UserRepository;
 use crate::weights::{CovScheme, WeightScheme};
 
@@ -36,7 +35,6 @@ pub struct Podium {
     weight: WeightScheme,
     cov: CovScheme,
     tie_break: TieBreak,
-    lazy: bool,
 }
 
 impl Default for Podium {
@@ -47,14 +45,13 @@ impl Default for Podium {
 
 impl Podium {
     /// The paper's experimental defaults: adaptive 3-quantile bucketing, LBS
-    /// weights, Single coverage, deterministic tie-breaking, eager greedy.
+    /// weights, Single coverage, deterministic tie-breaking.
     pub fn new() -> Self {
         Self {
             bucketing: BucketingConfig::adaptive_default(),
             weight: WeightScheme::LinearBySize,
             cov: CovScheme::Single,
             tie_break: TieBreak::FirstUser,
-            lazy: false,
         }
     }
 
@@ -80,12 +77,6 @@ impl Podium {
     /// "adds some randomness in randomly breaking ties", §10).
     pub fn random_ties(mut self, seed: u64) -> Self {
         self.tie_break = TieBreak::Seeded(seed);
-        self
-    }
-
-    /// Uses the lazy (CELF) greedy engine.
-    pub fn lazy(mut self, lazy: bool) -> Self {
-        self.lazy = lazy;
         self
     }
 
@@ -158,11 +149,7 @@ impl<'r> FittedPodium<'r> {
     /// [`FittedPodium::try_select`].
     pub fn select(&self, budget: usize) -> Selection<f64> {
         let inst = self.instance(budget);
-        if self.config.lazy {
-            lazy_greedy_select(&inst, budget)
-        } else {
-            greedy_select_opts(&inst, budget, None, self.config.tie_break)
-        }
+        greedy_select_opts(&inst, budget, None, self.config.tie_break)
     }
 
     /// Like [`FittedPodium::select`], but surfaces invalid requests instead
@@ -176,11 +163,12 @@ impl<'r> FittedPodium<'r> {
         }
         let inst = self.instance(budget);
         inst.validate()?;
-        Ok(if self.config.lazy {
-            lazy_greedy_select(&inst, budget)
-        } else {
-            greedy_select_opts(&inst, budget, None, self.config.tie_break)
-        })
+        Ok(greedy_select_opts(
+            &inst,
+            budget,
+            None,
+            self.config.tie_break,
+        ))
     }
 
     /// Selects with customization feedback (CUSTOM-DIVERSITY, §6).
@@ -242,21 +230,6 @@ mod tests {
         assert_eq!(s1.users.len(), 1);
         assert_eq!(s3.users.len(), 3);
         assert_eq!(s1.users[0], s3.users[0], "greedy prefixes agree");
-    }
-
-    #[test]
-    fn lazy_engine_matches_eager_score() {
-        let repo = repo();
-        let eager = Podium::new()
-            .bucketing(BucketingConfig::paper_default())
-            .fit(&repo)
-            .select(3);
-        let lazy = Podium::new()
-            .bucketing(BucketingConfig::paper_default())
-            .lazy(true)
-            .fit(&repo)
-            .select(3);
-        assert_eq!(eager.score, lazy.score);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! variant trades a provably small amount of score for near-constant
 //! per-round work.
 
+use crate::engine::CsrGraph;
 use crate::greedy::Selection;
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
@@ -28,7 +29,8 @@ pub fn stochastic_greedy_select<W: ScoreValue>(
     epsilon: f64,
     seed: u64,
 ) -> Selection<W> {
-    crate::engine::stochastic_once(inst, b, epsilon, seed)
+    let csr = CsrGraph::from_group_set(inst.groups());
+    crate::engine::stochastic_select(inst, &csr, b, epsilon, seed)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Cross-variant equivalence: the eager, lazy-heap, and parallel lazy-heap
-//! engines must produce *bit-identical* selections — same `users`, same
+//! Cross-algorithm equivalence: eager greedy (one-shot and over a prebuilt
+//! CSR graph) and CELF must produce *bit-identical* selections — same `users`, same
 //! per-round `gains`, same `score`, same `covered_counts` — on randomized
 //! instances with varying weights, coverage requirements above one, and
 //! heavily overlapping groups.
@@ -9,12 +9,11 @@
 //! `FirstUser` tie-break; see `crates/podium-core/src/engine/lazy.rs` for
 //! the heap-invariant argument.
 
-use podium_core::engine::{EngineVariant, SelectionEngine};
+use podium_core::engine::{eager_select_deadline, lazy_select_csr, CsrGraph};
 use podium_core::greedy::{greedy_select_opts, Selection, TieBreak};
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
 use podium_core::instance::DiversificationInstance;
-use podium_core::lazy_greedy::lazy_greedy_select_filtered;
 use podium_core::score::ScoreValue;
 use podium_core::weights::{CovScheme, WeightScheme};
 
@@ -48,28 +47,23 @@ fn random_groups(seed: u64, users: usize, groups: usize, max_size: usize) -> Gro
     GroupSet::from_memberships(users, memberships)
 }
 
-/// Asserts every engine variant and both legacy entry points return the
-/// exact same selection as the eager reference.
-fn assert_all_variants_identical<W: ScoreValue + PartialEq>(
+/// Asserts CELF — and, without an eligibility filter, the prebuilt-CSR
+/// eager kernel — return the exact same selection as one-shot eager greedy.
+fn assert_all_entry_points_identical<W: ScoreValue + PartialEq>(
     inst: &DiversificationInstance<W>,
     b: usize,
     eligible: Option<&[bool]>,
     context: &str,
 ) {
-    let engine = SelectionEngine::new(inst);
-    let reference = engine.eager(b, eligible, TieBreak::FirstUser);
-    let candidates: [(&str, Selection<W>); 4] = [
-        ("lazy_heap", engine.lazy(b, eligible)),
-        ("lazy_heap_parallel", engine.lazy_parallel(b, eligible)),
-        (
-            "legacy_eager",
-            greedy_select_opts(inst, b, eligible, TieBreak::FirstUser),
-        ),
-        (
-            "legacy_lazy",
-            lazy_greedy_select_filtered(inst, b, eligible),
-        ),
-    ];
+    let csr = CsrGraph::from_group_set(inst.groups());
+    let reference = greedy_select_opts(inst, b, eligible, TieBreak::FirstUser);
+    let mut candidates: Vec<(&str, Selection<W>)> =
+        vec![("lazy_select_csr", lazy_select_csr(inst, &csr, b, eligible))];
+    if eligible.is_none() {
+        let (served, completed) = eager_select_deadline(inst, &csr, b, &mut |_| false);
+        assert!(completed, "{context}: eager_select_deadline completes");
+        candidates.push(("eager_select_deadline", served));
+    }
     for (label, sel) in candidates {
         assert_eq!(sel.users, reference.users, "{context}: {label} users");
         assert_eq!(sel.gains, reference.gains, "{context}: {label} gains");
@@ -91,7 +85,7 @@ fn builtin_schemes_agree_on_random_instances() {
                 for b in [1usize, 4, 9] {
                     let inst = DiversificationInstance::from_schemes(&groups, weight, cov, b);
                     let ctx = format!("seed={seed} {weight:?}/{cov:?} b={b}");
-                    assert_all_variants_identical(&inst, b, None, &ctx);
+                    assert_all_entry_points_identical(&inst, b, None, &ctx);
                 }
             }
         }
@@ -108,7 +102,7 @@ fn custom_integer_valued_f64_weights_and_cov_above_one() {
         let weights: Vec<f64> = (0..groups.len()).map(|_| rng.below(17) as f64).collect();
         let cov: Vec<u32> = (0..groups.len()).map(|_| 1 + rng.below(4) as u32).collect();
         let inst = DiversificationInstance::new(&groups, weights, cov);
-        assert_all_variants_identical(&inst, 8, None, &format!("f64 seed={seed}"));
+        assert_all_entry_points_identical(&inst, 8, None, &format!("f64 seed={seed}"));
     }
 }
 
@@ -120,7 +114,7 @@ fn u64_weights_agree() {
         let weights: Vec<u64> = (0..groups.len()).map(|_| rng.next() % 1000).collect();
         let cov: Vec<u32> = (0..groups.len()).map(|_| 1 + rng.below(3) as u32).collect();
         let inst = DiversificationInstance::new(&groups, weights, cov);
-        assert_all_variants_identical(&inst, 6, None, &format!("u64 seed={seed}"));
+        assert_all_entry_points_identical(&inst, 6, None, &format!("u64 seed={seed}"));
     }
 }
 
@@ -129,7 +123,7 @@ fn ebs_weights_agree() {
     for seed in 70..76u64 {
         let groups = random_groups(seed, 40, 50, 7);
         let inst = DiversificationInstance::ebs(&groups, CovScheme::Proportional, 5);
-        assert_all_variants_identical(&inst, 5, None, &format!("ebs seed={seed}"));
+        assert_all_entry_points_identical(&inst, 5, None, &format!("ebs seed={seed}"));
     }
 }
 
@@ -147,7 +141,7 @@ fn eligibility_filters_agree() {
             7,
         );
         let ctx = format!("eligible seed={seed}");
-        assert_all_variants_identical(&inst, 7, Some(&eligible), &ctx);
+        assert_all_entry_points_identical(&inst, 7, Some(&eligible), &ctx);
     }
 }
 
@@ -160,7 +154,7 @@ fn budget_exceeding_population_agrees() {
         CovScheme::Single,
         40,
     );
-    assert_all_variants_identical(&inst, 40, None, "budget > population");
+    assert_all_entry_points_identical(&inst, 40, None, "budget > population");
 }
 
 #[test]
@@ -172,7 +166,8 @@ fn contains_matches_linear_scan_on_engine_output() {
         CovScheme::Proportional,
         10,
     );
-    let sel = SelectionEngine::new(&inst).select(EngineVariant::LazyHeap, 10);
+    let csr = CsrGraph::from_group_set(&groups);
+    let sel = lazy_select_csr(&inst, &csr, 10, None);
     for u in 0..64u32 {
         let u = UserId(u);
         assert_eq!(sel.contains(u), sel.users.contains(&u), "user {u:?}");

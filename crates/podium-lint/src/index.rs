@@ -271,15 +271,11 @@ pub fn collect_bindings(
                     let method = String::from_utf8_lossy(scan.text(at + 4)).into_owned();
                     let ret = index.method_rets(&head, &method).and_then(uniform).cloned();
                     match ret {
-                        Some(Some(r)) => {
-                            // `Result<Self>`-style constructors resolve
-                            // through the Ok type only when it names the
-                            // type; otherwise assume the type.
-                            if outer_segment(&r) == head || !is_result_type(&r) {
-                                out.insert(name, r);
-                            } else {
-                                out.insert(name, head);
-                            }
+                        // `Result<Self>`-style constructors resolve
+                        // through the Ok type only when it names the
+                        // type; otherwise assume the type.
+                        Some(Some(r)) if outer_segment(&r) == head || !is_result_type(&r) => {
+                            out.insert(name, r);
                         }
                         _ => {
                             out.insert(name, head);
@@ -317,13 +313,10 @@ pub fn chain_ending_at(scan: &FileScan<'_>, open_si: usize) -> Option<Vec<Seg>> 
         call: true,
         path_sep: false,
     }];
-    loop {
-        // Preceding separator: `.` or `::`.
-        let Some(prev) = si.checked_sub(1) else { break };
+    // Preceding separator: `.` or `::`.
+    while let Some(prev) = si.checked_sub(1) {
         if scan.is_punct(prev, b'.') {
-            let Some(p2) = prev.checked_sub(1) else {
-                return None;
-            };
+            let p2 = prev.checked_sub(1)?;
             if !scan.is_any_ident(p2) {
                 // `foo().bar()` / `xs[i].bar()` — receiver is an
                 // expression we do not model.
@@ -336,10 +329,7 @@ pub fn chain_ending_at(scan: &FileScan<'_>, open_si: usize) -> Option<Vec<Seg>> 
             });
             si = p2;
         } else if scan.is_punct(prev, b':') && prev >= 1 && scan.is_punct(prev - 1, b':') {
-            let p2 = match prev.checked_sub(2) {
-                Some(p) => p,
-                None => return None,
-            };
+            let p2 = prev.checked_sub(2)?;
             if !scan.is_any_ident(p2) {
                 return None;
             }
@@ -489,13 +479,17 @@ pub fn build<'a>(files: impl IntoIterator<Item = &'a [Item]>) -> WorkspaceIndex 
     index
 }
 
+/// Callback of [`for_each_fn_body`]: the fn item, its signature, the impl
+/// self-type, the collected bindings, and the body span `(open, close)`.
+pub type FnBodyVisitor<'v> = dyn FnMut(&Item, &FnSig, Option<&str>, &Bindings, usize, usize) + 'v;
+
 /// Convenience for passes: visit each fn in `items` with its scan-level
 /// body span, signature, impl self-type, and collected bindings.
 pub fn for_each_fn_body(
     scan: &FileScan<'_>,
     index: &WorkspaceIndex,
     items: &[Item],
-    visit: &mut dyn FnMut(&Item, &FnSig, Option<&str>, &Bindings, usize, usize),
+    visit: &mut FnBodyVisitor<'_>,
 ) {
     walk_fns(items, &mut |item, sig, self_type| {
         if let Some((open, close)) = sig.body {

@@ -1144,7 +1144,7 @@ fn replay_updates(updates: &[LoggedUpdate], target: &mut UserRepository) {
 mod tests {
     use super::*;
     use podium_core::bucket::BucketingConfig;
-    use podium_core::engine::{EngineVariant, QuotaBound, SelectionEngine};
+    use podium_core::engine::{lazy_select_csr, QuotaBound};
 
     fn seed_repo() -> UserRepository {
         let mut repo = UserRepository::new();
@@ -1299,8 +1299,8 @@ mod tests {
             CovScheme::Single,
             3,
         );
-        let engine = SelectionEngine::new(&inst);
-        let reference = engine.select(EngineVariant::LazyHeap, 3);
+        let csr = CsrGraph::from_group_set(snap.groups());
+        let reference = lazy_select_csr(&inst, &csr, 3, None);
         assert_eq!(outcome.selection, reference);
         assert_eq!(outcome.names.len(), 3);
     }
@@ -1493,8 +1493,8 @@ mod tests {
             CovScheme::Single,
             2,
         );
-        let engine = SelectionEngine::new(&rebuilt);
-        assert_eq!(after.selection, engine.select(EngineVariant::LazyHeap, 2));
+        let csr = CsrGraph::from_group_set(snap.groups());
+        assert_eq!(after.selection, lazy_select_csr(&rebuilt, &csr, 2, None));
     }
 
     /// Budget-1 LBS select over [`seed_repo`]: Alice wins (covers the

@@ -1,9 +1,9 @@
 //! Property-based tests (proptest) for the core invariants that the
 //! paper's guarantees rest on.
 
+use podium::core::engine::{eager_select_deadline, lazy_select_csr};
 use podium::core::exact::exact_select;
-use podium::core::greedy::{greedy_select, greedy_select_opts, TieBreak};
-use podium::core::lazy_greedy::lazy_greedy_select;
+use podium::core::greedy::{greedy_select, greedy_select_opts, Selection, TieBreak};
 use podium::core::submodular::{check_monotone_chain, check_submodular_witness};
 use podium::prelude::*;
 use proptest::prelude::*;
@@ -41,6 +41,19 @@ fn build_groups(users: usize, memberships: &[Vec<u32>]) -> GroupSet {
             .map(|g| g.iter().map(|&u| UserId(u)).collect())
             .collect(),
     )
+}
+
+/// Bit-identity of two selections: users, per-round gains, score and
+/// per-group covered counts.
+fn assert_bit_identical(
+    a: &Selection<f64>,
+    b: &Selection<f64>,
+) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert_eq!(&a.users, &b.users);
+    prop_assert_eq!(&a.gains, &b.gains);
+    prop_assert_eq!(a.score, b.score);
+    prop_assert_eq!(&a.covered_counts, &b.covered_counts);
+    Ok(())
 }
 
 proptest! {
@@ -97,18 +110,112 @@ proptest! {
         prop_assert!(greedy.score <= opt.score + 1e-9);
     }
 
-    /// Lazy greedy (CELF) matches eager greedy's score exactly.
+    /// One-shot eager greedy, eager greedy over a prebuilt CSR graph and
+    /// CELF return bit-identical selections — also under an eligibility
+    /// filter and for budgets above the population.
     #[test]
-    fn lazy_equals_eager_score(
+    fn greedy_entry_points_are_bit_identical(
         (users, memberships, weights, covs) in instance_strategy(10, 12),
-        b in 1usize..6,
+        b in 1usize..13,
+        mask in prop::collection::vec(any::<bool>(), 10),
     ) {
         let groups = build_groups(users, &memberships);
         let w: Vec<f64> = weights.iter().map(|&x| f64::from(x)).collect();
         let inst = DiversificationInstance::new(&groups, w, covs);
+        let csr = CsrGraph::from_group_set(&groups);
         let eager = greedy_select(&inst, b);
-        let lazy = lazy_greedy_select(&inst, b);
-        prop_assert_eq!(eager.score, lazy.score);
+        let (served, completed) = eager_select_deadline(&inst, &csr, b, &mut |_| false);
+        prop_assert!(completed);
+        assert_bit_identical(&served, &eager)?;
+        assert_bit_identical(&lazy_select_csr(&inst, &csr, b, None), &eager)?;
+        let eligible = &mask[..users];
+        let eager = greedy_select_opts(&inst, b, Some(eligible), TieBreak::FirstUser);
+        let lazy = lazy_select_csr(&inst, &csr, b, Some(eligible));
+        assert_bit_identical(&lazy, &eager)?;
+    }
+
+    /// Metamorphic: adding an empty group, at any position and with any
+    /// weight and coverage, leaves the greedy selection identical — the
+    /// new group only adds a zero to `covered_counts`.
+    #[test]
+    fn empty_group_leaves_greedy_selection_identical(
+        (users, memberships, weights, covs) in instance_strategy(10, 12),
+        at in any::<prop::sample::Index>(),
+        extra_weight in 1u32..20,
+        extra_cov in 1u32..4,
+        b in 1usize..8,
+    ) {
+        let groups = build_groups(users, &memberships);
+        let w: Vec<f64> = weights.iter().map(|&x| f64::from(x)).collect();
+        let base = greedy_select(&DiversificationInstance::new(&groups, w.clone(), covs.clone()), b);
+
+        let at = at.index(memberships.len() + 1);
+        let mut memberships = memberships;
+        memberships.insert(at, Vec::new());
+        let mut w = w;
+        w.insert(at, f64::from(extra_weight));
+        let mut covs = covs;
+        covs.insert(at, extra_cov);
+        let padded_groups = build_groups(users, &memberships);
+        let padded = greedy_select(&DiversificationInstance::new(&padded_groups, w, covs), b);
+
+        prop_assert_eq!(&padded.users, &base.users);
+        prop_assert_eq!(&padded.gains, &base.gains);
+        prop_assert_eq!(padded.score, base.score);
+        let mut counts = padded.covered_counts;
+        prop_assert_eq!(counts.remove(at), 0);
+        prop_assert_eq!(counts, base.covered_counts);
+    }
+
+    /// Metamorphic: on a fixed instance (weights and coverages do not
+    /// depend on the budget), neither the greedy nor the exact score
+    /// decreases as the budget grows.
+    #[test]
+    fn scores_do_not_decrease_with_budget(
+        (users, memberships, weights, covs) in instance_strategy(8, 8),
+    ) {
+        let groups = build_groups(users, &memberships);
+        let w: Vec<f64> = weights.iter().map(|&x| f64::from(x)).collect();
+        let inst = DiversificationInstance::new(&groups, w, covs);
+        let mut last_greedy = 0.0;
+        let mut last_exact = 0.0;
+        for b in 1..=users + 1 {
+            let greedy = greedy_select(&inst, b).score;
+            let exact = exact_select(&inst, b, 1 << 30).unwrap().score;
+            prop_assert!(greedy >= last_greedy, "greedy b={} {} < {}", b, greedy, last_greedy);
+            prop_assert!(exact >= last_exact, "exact b={} {} < {}", b, exact, last_exact);
+            last_greedy = greedy;
+            last_exact = exact;
+        }
+    }
+
+    /// Metamorphic: renaming users (permuting their ids) leaves the exact
+    /// optimum's score unchanged.
+    #[test]
+    fn exact_score_is_invariant_under_user_permutation(
+        (users, memberships, weights, covs) in instance_strategy(8, 8),
+        keys in prop::collection::vec(any::<u64>(), 8),
+        b in 1usize..5,
+    ) {
+        // `perm[u]` is `u`'s new id: users ranked by a random key.
+        let mut order: Vec<u32> = (0..users as u32).collect();
+        order.sort_by_key(|&u| (keys[u as usize], u));
+        let mut perm = vec![0u32; users];
+        for (new, &old) in order.iter().enumerate() {
+            perm[old as usize] = new as u32;
+        }
+        let renamed: Vec<Vec<u32>> = memberships
+            .iter()
+            .map(|g| g.iter().map(|&u| perm[u as usize]).collect())
+            .collect();
+        let w: Vec<f64> = weights.iter().map(|&x| f64::from(x)).collect();
+        let groups = build_groups(users, &memberships);
+        let renamed_groups = build_groups(users, &renamed);
+        let original = exact_select(&DiversificationInstance::new(&groups, w.clone(), covs.clone()), b, 1 << 30)
+            .unwrap();
+        let permuted = exact_select(&DiversificationInstance::new(&renamed_groups, w, covs), b, 1 << 30)
+            .unwrap();
+        prop_assert_eq!(permuted.score, original.score);
     }
 
     /// Seeded tie-breaking keeps every greedy guarantee: the first accepted
