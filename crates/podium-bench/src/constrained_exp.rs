@@ -1,9 +1,10 @@
 //! Constrained-selection experiment (`BENCH_9.json`): quota-constrained
-//! lazy greedy vs. the same slate refined by seeded simulated annealing
-//! at a matched wall-clock budget.
+//! greedy vs. the same slate refined by seeded simulated annealing at a
+//! matched wall-clock budget.
 //!
 //! For each quota tightness level the experiment times the
-//! feasibility-aware greedy, calibrates the annealer's step count so one
+//! feasibility-aware greedy — the serving kernel,
+//! [`constrained_eager_select`] — calibrates the annealer's step count so one
 //! refinement pass spends roughly the wall-clock the greedy did (a probe
 //! run measures the per-step cost), and reports both scores. The
 //! annealer's best-so-far guarantee makes `anneal_score >= greedy_score`
@@ -15,7 +16,7 @@ use std::time::Instant;
 
 use podium_core::bucket::BucketingConfig;
 use podium_core::engine::{
-    anneal_refine, constrained_lazy_select, AnnealSchedule, CsrGraph, Quota, QuotaBound, QuotaSet,
+    anneal_refine, constrained_eager_select, AnnealSchedule, CsrGraph, Quota, QuotaBound, QuotaSet,
 };
 use podium_core::group::GroupSet;
 use podium_core::instance::DiversificationInstance;
@@ -147,7 +148,7 @@ pub fn run(scale: f64, budget: usize, seed: u64) -> ConstrainedReport {
         let quota_set = QuotaSet::build(quotas, groups.len(), budget)
             .expect("swept quota mixes are well-formed by construction");
         let t0 = Instant::now();
-        let greedy = match constrained_lazy_select(&inst, &csr, budget, &quota_set) {
+        let greedy = match constrained_eager_select(&inst, &csr, budget, &quota_set) {
             Ok(sel) => sel,
             Err(_) => {
                 rows.push(ConstrainedRow {

@@ -43,8 +43,9 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::engine::{eager_select, CsrGraph, Unfiltered};
 use crate::error::{CoreError, Result};
-use crate::greedy::{greedy_select_opts, Selection, TieBreak};
+use crate::greedy::{Selection, TieBreak};
 use crate::group::{GroupKind, GroupSet};
 use crate::ids::{GroupId, PropertyId, UserId};
 use crate::instance::DiversificationInstance;
@@ -189,8 +190,9 @@ pub fn custom_select(
     let _ = repo; // the repository defines 𝒰; kept for API symmetry/validation
     let base = weight.weights(groups);
     let covs = cov.cov(groups, budget);
+    let csr = CsrGraph::from_group_set(groups);
     let (selection, pool_size, feedback_group_coverage) =
-        custom_select_weighted(groups, &base, &covs, budget, feedback)?;
+        custom_select_weighted(groups, &csr, &base, &covs, budget, feedback)?;
     Ok(CustomSelection {
         selection,
         pool_size,
@@ -203,8 +205,13 @@ pub fn custom_select(
 /// claim that the customization layer composes with every weight choice.
 /// Returns the lexicographic selection, the refined pool size, and the
 /// feedback group coverage.
+///
+/// `csr` must have been built from `groups` (or be bit-identical to such
+/// a build, as a patched serving snapshot's is), so callers refining
+/// repeatedly against one group set build it once.
 pub fn custom_select_weighted<T: ScoreValue>(
     groups: &GroupSet,
+    csr: &CsrGraph,
     base_weights: &[T],
     covs: &[u32],
     budget: usize,
@@ -212,6 +219,8 @@ pub fn custom_select_weighted<T: ScoreValue>(
 ) -> Result<(Selection<LexPair<T>>, usize, f64)> {
     assert_eq!(base_weights.len(), groups.len(), "one weight per group");
     assert_eq!(covs.len(), groups.len(), "one coverage size per group");
+    debug_assert_eq!(csr.user_count(), groups.user_count(), "csr/groups users");
+    debug_assert_eq!(csr.group_count(), groups.len(), "csr/groups groups");
     if budget == 0 {
         // Surfaced as an error rather than an empty selection: a zero
         // budget in a customization round is always a caller bug.
@@ -237,7 +246,20 @@ pub fn custom_select_weighted<T: ScoreValue>(
         })
         .collect();
     let inst = DiversificationInstance::new(groups, weights, covs.to_vec());
-    let selection = greedy_select_opts(&inst, budget, Some(&eligible), TieBreak::FirstUser);
+    debug_assert!(
+        inst.validate().is_ok(),
+        "invalid instance: {}",
+        inst.validate().unwrap_err()
+    );
+    let (selection, _) = eager_select(
+        &inst,
+        csr,
+        budget,
+        Some(&eligible),
+        TieBreak::FirstUser,
+        &mut Unfiltered,
+        &mut |_| false,
+    );
 
     let feedback_group_coverage = if feedback.priority.is_empty() {
         1.0
@@ -464,7 +486,9 @@ mod tests {
             priority: groups_of_props(&groups, &repo, "livesIn"),
             ..Feedback::default()
         };
-        let (sel, pool, cov) = custom_select_weighted(&groups, &base, &covs, 2, &feedback).unwrap();
+        let csr = CsrGraph::from_group_set(&groups);
+        let (sel, pool, cov) =
+            custom_select_weighted(&groups, &csr, &base, &covs, 2, &feedback).unwrap();
         assert_eq!(pool, 5, "no must-have filter");
         assert_eq!(sel.users.len(), 2);
         // Tokyo (the largest livesIn group) must be covered first under EBS.
@@ -496,7 +520,9 @@ mod tests {
         .unwrap();
         let base = WeightScheme::LinearBySize.weights(&groups);
         let covs = CovScheme::Single.cov(&groups, 2);
-        let (sel, pool, cov) = custom_select_weighted(&groups, &base, &covs, 2, &feedback).unwrap();
+        let csr = CsrGraph::from_group_set(&groups);
+        let (sel, pool, cov) =
+            custom_select_weighted(&groups, &csr, &base, &covs, 2, &feedback).unwrap();
         assert_eq!(via_wrapper.users(), sel.users.as_slice());
         assert_eq!(via_wrapper.pool_size, pool);
         assert_eq!(via_wrapper.feedback_group_coverage, cov);

@@ -1,23 +1,39 @@
-//! Quota-constrained CELF: hard per-group floors and ceilings on top of
-//! the lazy greedy selection.
+//! Quota-constrained greedy selection: hard per-group floors and
+//! ceilings on top of Algorithm 1.
 //!
 //! A [`QuotaSet`] attaches a `[min, max]` occupancy window to a small
 //! number of groups, each bound expressed as an absolute [count] or as a
-//! [ratio] of the selection budget. The constrained selector
-//! ([`constrained_lazy_select`]) runs the same CELF loop as
-//! [`super::lazy`] but filters every would-be commit through a
-//! *feasibility invariant*:
+//! [ratio] of the selection budget. Both constrained selectors filter
+//! every would-be commit through a *feasibility invariant*:
 //!
 //! > After every committed prefix, some completion within the remaining
 //! > budget still satisfies every quota window.
 //!
+//! [`constrained_eager_select`] serves. It is the eager loop of
+//! [`super::eager_select_deadline`] under a quota admission filter that
+//! computes one verdict per membership signature per round.
+//! [`constrained_lazy_select`] is the CELF reference: the loop of
+//! [`super::lazy_select_csr`] with the same verdicts applied to fresh
+//! heap tops. Each round of either commits the first-index argmax over
+//! the admissible candidates, so under exact score arithmetic the two
+//! return bit-identical selections.
+//!
 //! Candidates that would overshoot a ceiling are dropped permanently
-//! (occupancy never decreases); candidates that would merely strand a
-//! floor are deferred for the round and re-enter the heap — stale, so
-//! they are re-evaluated before any later commit — after the next
-//! commit. With an empty `QuotaSet` every candidate is admissible and
-//! the loop is **bit-identical** to [`super::lazy_select_csr`]
-//! (same pops, same tie-breaks, same commits).
+//! (occupancy never decreases). Candidates that would merely strand a
+//! floor are refused for the round: the eager loop skips them, CELF
+//! defers them and lets them re-enter the heap (stale) after the next
+//! commit. With an empty `QuotaSet` every candidate is admissible, and
+//! each kernel is **bit-identical** to its unconstrained counterpart.
+//!
+//! **Refusals are permanent.** Let `P` be the prefix before round `r`,
+//! `t` the user that round commits and `k` the picks left. If a user `u`
+//! is admissible in round `r + 1`, some completion `C` with
+//! `|C| ≤ k − 2` puts `P + t + u + C` inside every window. Then
+//! `{t} ∪ C` completes `P + u` within `k − 1` picks, so `u` was
+//! admissible in round `r` already. The oracle below is exact, so a
+//! refused candidate stays refused, and every admissible marginal is at
+//! most the previous round's committed gain. That is the ceiling the
+//! eager argmax stops at.
 //!
 //! Feasibility is decided *exactly*. Users are collapsed into
 //! membership signatures over the quota'd groups (at most
@@ -33,13 +49,14 @@
 
 use std::collections::{BinaryHeap, HashMap};
 
-use crate::greedy::Selection;
+use crate::greedy::{Selection, TieBreak};
 use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
 
 use super::anneal::AnnealSchedule;
 use super::csr::CsrGraph;
+use super::eager::{eager_select, Admission, Verdict};
 use super::lazy::HeapEntry;
 
 /// Most groups a single [`QuotaSet`] may constrain. The feasibility
@@ -496,24 +513,20 @@ pub(super) struct QuotaTracker {
 }
 
 impl QuotaTracker {
+    /// Signatures from the quota'd groups' member lists:
+    /// `O(n + Σ |G_quota|)`.
     pub(super) fn new(quotas: &QuotaSet, csr: &CsrGraph) -> Self {
         let q = quotas.len();
-        let index_of: HashMap<u32, usize> = quotas
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, i))
-            .collect();
         let n = csr.user_count();
         let mut sig = vec![0u16; n];
-        let mut avail = vec![0u32; 1 << q];
-        for (u, s) in sig.iter_mut().enumerate() {
-            for &g in csr.groups_of(u) {
-                if let Some(&i) = index_of.get(&g) {
-                    *s |= 1 << i;
-                }
+        for (i, &g) in quotas.groups.iter().enumerate() {
+            for &u in csr.members_of(g as usize) {
+                sig[u as usize] |= 1 << i;
             }
-            avail[*s as usize] += 1;
+        }
+        let mut avail = vec![0u32; 1 << q];
+        for &s in &sig {
+            avail[s as usize] += 1;
         }
         QuotaTracker {
             mins: quotas.mins.clone(),
@@ -528,8 +541,8 @@ impl QuotaTracker {
         self.mins.len()
     }
 
-    pub(super) fn sig_of(&self, user: u32) -> u16 {
-        self.sig[user as usize]
+    pub(super) fn sig_of(&self, user: usize) -> u16 {
+        self.sig[user]
     }
 
     /// Whether adding one user with signature `sig` would overshoot a
@@ -600,38 +613,115 @@ impl QuotaTracker {
     }
 }
 
-/// Quota-constrained CELF over a prebuilt CSR graph.
+/// The quota admission filter both constrained kernels apply: one
+/// verdict per signature per round (every user sharing a signature gets
+/// the same one), cached until the next commit.
+struct QuotaFilter {
+    tracker: QuotaTracker,
+    verdicts: Vec<Option<Verdict>>,
+}
+
+impl QuotaFilter {
+    /// The filter both constrained kernels start from, or the
+    /// [`Infeasible`] verdict when no subset of at most `b` users
+    /// satisfies every window.
+    fn start<W: ScoreValue>(
+        inst: &DiversificationInstance<'_, W>,
+        csr: &CsrGraph,
+        b: usize,
+        quotas: &QuotaSet,
+    ) -> Result<Self, Infeasible> {
+        debug_assert_eq!(csr.user_count(), inst.user_count(), "csr/instance users");
+        debug_assert_eq!(
+            csr.group_count(),
+            inst.groups().len(),
+            "csr/instance groups"
+        );
+        debug_assert_eq!(
+            quotas.budget(),
+            b,
+            "quotas resolved against a different budget"
+        );
+        let tracker = QuotaTracker::new(quotas, csr);
+        if !tracker.completable(b) {
+            return Err(diagnose(quotas, csr, b));
+        }
+        Ok(QuotaFilter {
+            verdicts: vec![None; 1 << tracker.q()],
+            tracker,
+        })
+    }
+}
+
+impl Admission for QuotaFilter {
+    fn verdict(&mut self, u: usize, budget_left: usize) -> Verdict {
+        let sig = self.tracker.sig_of(u);
+        let tracker = &mut self.tracker;
+        *self.verdicts[sig as usize].get_or_insert_with(|| {
+            if tracker.admits(sig, budget_left) {
+                Verdict::Admit
+            } else if tracker.breaches_ceiling(sig) {
+                Verdict::Drop
+            } else {
+                Verdict::Skip
+            }
+        })
+    }
+
+    fn commit(&mut self, u: usize) {
+        self.tracker.commit(self.tracker.sig_of(u));
+        self.verdicts.fill(None);
+    }
+}
+
+/// Quota-constrained eager greedy (Algorithm 1, `FirstUser` ties) over a
+/// prebuilt CSR graph — the serving kernel.
 ///
 /// Selects up to `b` users greedily by marginal gain, restricted to
 /// candidates whose commit keeps the selection completable to a
 /// feasible one (see the module docs). Returns [`Infeasible`] — before
 /// selecting anything — iff no subset of at most `b` users satisfies
-/// every quota window. With an empty `quotas` the result is
-/// bit-identical to [`super::lazy_select_csr`].
+/// every quota window. Under exact score arithmetic the result is
+/// bit-identical to [`constrained_lazy_select`], and with an empty
+/// `quotas` to [`super::eager_select_deadline`].
 ///
 /// `quotas` must have been resolved against the same budget `b`.
+pub fn constrained_eager_select<W: ScoreValue>(
+    inst: &DiversificationInstance<'_, W>,
+    csr: &CsrGraph,
+    b: usize,
+    quotas: &QuotaSet,
+) -> Result<Selection<W>, Infeasible> {
+    let mut filter = QuotaFilter::start(inst, csr, b, quotas)?;
+    let (selection, _) = eager_select(
+        inst,
+        csr,
+        b,
+        None,
+        TieBreak::FirstUser,
+        &mut filter,
+        &mut |_| false,
+    );
+    debug_assert!(
+        quotas.satisfied_by(&selection.covered_counts),
+        "constrained selection violated its own quotas"
+    );
+    Ok(selection)
+}
+
+/// Quota-constrained CELF over a prebuilt CSR graph — the bit-identity
+/// reference for [`constrained_eager_select`].
+///
+/// Same contract as the eager kernel; with an empty `quotas` the result
+/// is bit-identical to [`super::lazy_select_csr`].
 pub fn constrained_lazy_select<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
     csr: &CsrGraph,
     b: usize,
     quotas: &QuotaSet,
 ) -> Result<Selection<W>, Infeasible> {
-    debug_assert_eq!(csr.user_count(), inst.user_count(), "csr/instance users");
-    debug_assert_eq!(
-        csr.group_count(),
-        inst.groups().len(),
-        "csr/instance groups"
-    );
-    debug_assert_eq!(
-        quotas.budget(),
-        b,
-        "quotas resolved against a different budget"
-    );
     let n = csr.user_count();
-    let mut tracker = QuotaTracker::new(quotas, csr);
-    if !tracker.completable(b) {
-        return Err(diagnose(quotas, csr, b));
-    }
+    let mut filter = QuotaFilter::start(inst, csr, b, quotas)?;
 
     let weights = inst.weights();
     let mut cov_rem: Vec<u32> = inst.covs().to_vec();
@@ -663,9 +753,6 @@ pub fn constrained_lazy_select<W: ScoreValue>(
     // stranding a floor; they re-enter the heap (stale) after the next
     // commit changes the residual problem.
     let mut deferred: Vec<HeapEntry<W>> = Vec::new();
-    // Per-round admissibility, keyed by signature: every user sharing a
-    // signature has the same verdict.
-    let mut admissible: Vec<Option<bool>> = vec![None; 1 << tracker.q()];
 
     while users.len() < b {
         let Some(top) = heap.pop() else {
@@ -674,22 +761,13 @@ pub fn constrained_lazy_select<W: ScoreValue>(
             break;
         };
         if top.round == round {
-            let budget_left = b - users.len();
-            let ok = if tracker.q() == 0 {
-                true
-            } else {
-                let sig = tracker.sig_of(top.user);
-                *admissible[sig as usize].get_or_insert_with(|| tracker.admits(sig, budget_left))
-            };
-            if !ok {
-                let sig = tracker.sig_of(top.user);
-                if tracker.breaches_ceiling(sig) {
-                    // Ceilings only tighten: this candidate is dead for
-                    // every later round too. Drop it.
-                } else {
+            match filter.verdict(top.user as usize, b - users.len()) {
+                Verdict::Admit => {}
+                Verdict::Drop => continue,
+                Verdict::Skip => {
                     deferred.push(top);
+                    continue;
                 }
-                continue;
             }
             // Fresh admissible top: the exact argmax over candidates
             // that keep the prefix completable.
@@ -703,10 +781,7 @@ pub fn constrained_lazy_select<W: ScoreValue>(
                     cov_rem[gi] -= 1;
                 }
             }
-            if tracker.q() > 0 {
-                tracker.commit(tracker.sig_of(top.user));
-                admissible.fill(None);
-            }
+            filter.commit(top.user as usize);
             round += 1;
             // Deferred entries carry their last-known gains — still
             // valid upper bounds — and an old round tag, so each is
@@ -752,7 +827,7 @@ fn diagnose(quotas: &QuotaSet, csr: &CsrGraph, b: usize) -> Infeasible {
 }
 
 /// Brute-force feasibility over all subsets of size ≤ `b` — the
-/// reference the property tests pin [`constrained_lazy_select`]'s
+/// reference the property tests pin the constrained selectors'
 /// `Infeasible` verdict against. Exponential; test-sized instances
 /// only.
 pub fn feasible_by_brute_force(csr: &CsrGraph, b: usize, quotas: &QuotaSet) -> bool {

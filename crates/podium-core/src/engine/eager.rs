@@ -12,6 +12,11 @@
 //! first-index argmax. Tie-heavy and post-saturation rounds stop after a
 //! few users instead of scanning all `n`; the selected sequence is that of
 //! the full scan.
+//!
+//! An [`Admission`] filter restricts each round's argmax to the candidates
+//! it admits; the quota-constrained kernel
+//! ([`super::constrained_eager_select`]) is this loop under the quota
+//! filter, and every other entry point passes [`Unfiltered`].
 
 use crate::greedy::{Selection, TieBreak};
 use crate::ids::UserId;
@@ -21,9 +26,48 @@ use crate::score::ScoreValue;
 use super::anneal::splitmix64;
 use super::csr::CsrGraph;
 
+/// What a round's argmax may do with one available candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// The candidate may be committed this round.
+    Admit,
+    /// Not this round; the candidate stays available.
+    Skip,
+    /// Never again: the candidate leaves the pool for good.
+    Drop,
+}
+
+/// A per-round candidate filter of the eager loop.
+///
+/// Contract: verdicts are *monotone* — a candidate refused (`Skip` or
+/// `Drop`) in one round is refused in every later round. The
+/// ceiling-bounded argmax relies on it: every admissible candidate was
+/// admissible in the previous round too, so its marginal is bounded by
+/// that round's committed gain.
+pub(crate) trait Admission {
+    /// The verdict on committing user `u` next, with `budget_left` picks
+    /// remaining (this one included).
+    fn verdict(&mut self, u: usize, budget_left: usize) -> Verdict;
+    /// Records that `u` was committed; verdicts may change.
+    fn commit(&mut self, u: usize);
+}
+
+/// The filter that admits every candidate (plain Algorithm 1).
+pub(crate) struct Unfiltered;
+
+impl Admission for Unfiltered {
+    #[inline(always)]
+    fn verdict(&mut self, _u: usize, _budget_left: usize) -> Verdict {
+        Verdict::Admit
+    }
+    #[inline(always)]
+    fn commit(&mut self, _u: usize) {}
+}
+
 /// Eager greedy selection of at most `b` users, maintaining every
 /// candidate's marginal contribution decrementally (lines 2–10 of
-/// Algorithm 1).
+/// Algorithm 1). Each round commits the argmax over the available users
+/// that `admission` admits; the run ends early when it admits none.
 ///
 /// `should_stop(selected)` is polled before the initial scan and after
 /// every committed round that leaves the budget unfilled; a `true` return
@@ -36,6 +80,7 @@ pub(crate) fn eager_select<W: ScoreValue>(
     b: usize,
     eligible: Option<&[bool]>,
     tie_break: TieBreak,
+    admission: &mut impl Admission,
     should_stop: &mut dyn FnMut(usize) -> bool,
 ) -> (Selection<W>, bool) {
     let n = csr.user_count();
@@ -83,15 +128,17 @@ pub(crate) fn eager_select<W: ScoreValue>(
 
     // Lines 3–10.
     for _ in 0..b {
-        // Line 5: argmax over available users, bounded by the last gain.
+        // Line 5: argmax over admitted users, bounded by the last gain.
+        let mut admit = |u: usize| admission.verdict(u, b - users.len());
         let best = match tie_break {
-            TieBreak::FirstUser => argmax_first(&marg, &available, gains.last()),
-            TieBreak::Seeded(_) => argmax_seeded(&marg, &available, &mut rng_state),
+            TieBreak::FirstUser => argmax_first(&marg, &mut available, gains.last(), &mut admit),
+            TieBreak::Seeded(_) => argmax_seeded(&marg, &mut available, &mut admit, &mut rng_state),
         };
         let Some(u) = best else { break }; // line 4: pool exhausted
 
         // Line 6: move u from 𝒰 to U.
         available[u] = false;
+        admission.commit(u);
         score.add_assign(&marg[u]);
         gains.push(marg[u].clone());
         users.push(UserId::from_index(u));
@@ -127,22 +174,40 @@ pub(crate) fn eager_select<W: ScoreValue>(
     )
 }
 
-/// First-index argmax: ties go to the smallest user id (strictly-greater
-/// replacement test, so `a > b` — i.e. `partial_cmp == Some(Greater)` —
-/// is the exact replacement condition).
+/// Whether available user `u` competes in this round's argmax; a
+/// [`Verdict::Drop`] clears its availability.
+#[inline(always)]
+fn admitted(u: usize, available: &mut bool, admit: &mut impl FnMut(usize) -> Verdict) -> bool {
+    if !*available {
+        return false;
+    }
+    match admit(u) {
+        Verdict::Admit => true,
+        Verdict::Skip => false,
+        Verdict::Drop => {
+            *available = false;
+            false
+        }
+    }
+}
+
+/// First-index argmax over the admitted users: ties go to the smallest
+/// user id (strictly-greater replacement test, so `a > b` — i.e.
+/// `partial_cmp == Some(Greater)` — is the exact replacement condition).
 ///
-/// `ceiling` is the previous round's maximum. No marginal exceeds it, so
-/// the first available user at or above it (`partial_cmp` is `Equal` or
-/// `Greater`) is the answer and the scan stops there; incomparable values
-/// keep scanning.
+/// `ceiling` is the previous round's maximum. No admitted marginal
+/// exceeds it (see [`Admission`]), so the first admitted user at or above
+/// it (`partial_cmp` is `Equal` or `Greater`) is the answer and the scan
+/// stops there; incomparable values keep scanning.
 fn argmax_first<W: ScoreValue>(
     marg: &[W],
-    available: &[bool],
+    available: &mut [bool],
     ceiling: Option<&W>,
+    admit: &mut impl FnMut(usize) -> Verdict,
 ) -> Option<usize> {
     let mut best: Option<(usize, &W)> = None;
-    for (u, (m, &ok)) in marg.iter().zip(available).enumerate() {
-        if !ok {
+    for (u, (m, ok)) in marg.iter().zip(available).enumerate() {
+        if !admitted(u, ok, admit) {
             continue;
         }
         if ceiling.is_some_and(|c| m >= c) {
@@ -159,13 +224,18 @@ fn argmax_first<W: ScoreValue>(
     best.map(|(u, _)| u)
 }
 
-/// Reservoir-samples uniformly among the argmax users with a splitmix64
-/// stream, so runs are reproducible for a fixed seed.
-fn argmax_seeded<W: ScoreValue>(marg: &[W], available: &[bool], state: &mut u64) -> Option<usize> {
+/// Reservoir-samples uniformly among the admitted argmax users with a
+/// splitmix64 stream, so runs are reproducible for a fixed seed.
+fn argmax_seeded<W: ScoreValue>(
+    marg: &[W],
+    available: &mut [bool],
+    admit: &mut impl FnMut(usize) -> Verdict,
+    state: &mut u64,
+) -> Option<usize> {
     let mut best: Option<usize> = None;
     let mut ties = 0u64;
     for u in 0..marg.len() {
-        if !available[u] {
+        if !admitted(u, &mut available[u], admit) {
             continue;
         }
         let ord = match best {
@@ -205,13 +275,17 @@ mod tests {
             let marg: Vec<f64> = (0..len)
                 .map(|_| (splitmix64(&mut state) % 4) as f64)
                 .collect();
-            let available: Vec<bool> = (0..len)
+            let mut available: Vec<bool> = (0..len)
                 .map(|_| !splitmix64(&mut state).is_multiple_of(4))
                 .collect();
-            let full = argmax_first(&marg, &available, None);
+            let admit = &mut |_| Verdict::Admit;
+            let full = argmax_first(&marg, &mut available, None, admit);
             let max = full.map_or(0.0, |u| marg[u]);
             for ceiling in [max, max + 1.0] {
-                assert_eq!(argmax_first(&marg, &available, Some(&ceiling)), full);
+                assert_eq!(
+                    argmax_first(&marg, &mut available, Some(&ceiling), admit),
+                    full
+                );
             }
         }
     }

@@ -7,7 +7,8 @@
 //! | Alg. 1, prebuilt CSR | [`eager_select_deadline`] |
 //! | CELF reference | [`lazy_select_csr`] |
 //! | Stochastic | [`crate::stochastic_greedy::stochastic_greedy_select`] |
-//! | Quota-constrained | [`constrained_lazy_select`] |
+//! | Quota-constrained, serving | [`constrained_eager_select`] |
+//! | Quota-constrained CELF reference | [`constrained_lazy_select`] |
 //! | Exact | [`crate::exact::exact_select`] |
 //!
 //! [`CsrGraph`] is the flat bipartite user ↔ group adjacency, built once
@@ -27,7 +28,13 @@
 //! and the eager kernel wins — which is why [`eager_select_deadline`]
 //! serves selects and [`lazy_select_csr`] stays the reference. Under the
 //! `FirstUser` tie-break and exact score arithmetic the two return
-//! bit-identical selections.
+//! bit-identical selections. The quota-constrained pair splits the same
+//! way: [`constrained_eager_select`] is the eager loop plus one
+//! admissibility verdict per membership signature per round (at most
+//! `2^q` for `q` quota'd groups, each an exact feasibility search), and
+//! [`constrained_lazy_select`] is its CELF reference. Both build their
+//! quota bookkeeping in `O(n + Σ |G_quota|)` from the quota'd groups'
+//! member lists.
 
 pub mod anneal;
 pub mod constrained;
@@ -38,11 +45,11 @@ mod stochastic;
 
 pub use anneal::{anneal_refine, splitmix64, AnnealSchedule};
 pub use constrained::{
-    constrained_lazy_select, constraint_fingerprint, feasible_by_brute_force, Infeasible, Quota,
-    QuotaBound, QuotaError, QuotaSet,
+    constrained_eager_select, constrained_lazy_select, constraint_fingerprint,
+    feasible_by_brute_force, Infeasible, Quota, QuotaBound, QuotaError, QuotaSet,
 };
 pub use csr::CsrGraph;
-pub(crate) use eager::eager_select;
+pub(crate) use eager::{eager_select, Unfiltered};
 pub(crate) use stochastic::stochastic_select;
 
 use crate::greedy::{Selection, TieBreak};
@@ -94,7 +101,15 @@ pub fn eager_select_deadline<W: ScoreValue>(
         inst.groups().len(),
         "csr/instance groups"
     );
-    eager::eager_select(inst, csr, b, None, TieBreak::FirstUser, should_stop)
+    eager::eager_select(
+        inst,
+        csr,
+        b,
+        None,
+        TieBreak::FirstUser,
+        &mut Unfiltered,
+        should_stop,
+    )
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 //! assert_eq!(sel.score, 5.0);
 //! ```
 
-use crate::engine::CsrGraph;
+use crate::engine::{eager_select, CsrGraph, Unfiltered};
 use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
@@ -123,7 +123,16 @@ pub fn greedy_select_opts<W: ScoreValue>(
         inst.validate().unwrap_err()
     );
     let csr = CsrGraph::from_group_set(inst.groups());
-    crate::engine::eager_select(inst, &csr, b, eligible, tie_break, &mut |_| false).0
+    let (selection, _) = eager_select(
+        inst,
+        &csr,
+        b,
+        eligible,
+        tie_break,
+        &mut Unfiltered,
+        &mut |_| false,
+    );
+    selection
 }
 
 #[cfg(test)]

@@ -12,10 +12,14 @@
 //! * **Refinement** — the seeded annealer is deterministic (same seed ⇒
 //!   same slate), never scores below its greedy start, and never turns
 //!   a feasible solution infeasible.
+//! * **Kernel identity** — the serving kernel (quota-filtered eager
+//!   Alg. 1) returns exactly what the CELF reference returns: the same
+//!   selection bit for bit, or the same `Infeasible` verdict.
 
 use podium_core::engine::{
-    anneal_refine, constrained_lazy_select, feasible_by_brute_force, lazy_select_csr,
-    AnnealSchedule, CsrGraph, Quota, QuotaBound, QuotaSet,
+    anneal_refine, constrained_eager_select, constrained_lazy_select, eager_select_deadline,
+    feasible_by_brute_force, lazy_select_csr, AnnealSchedule, CsrGraph, Quota, QuotaBound,
+    QuotaSet,
 };
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
@@ -184,5 +188,63 @@ proptest! {
             "anneal broke a quota window"
         );
         prop_assert_eq!(once.users.len(), greedy.users.len(), "swaps preserve slate size");
+    }
+
+    /// Kernel identity: on integer-weighted instances (exact `f64`
+    /// arithmetic, ties everywhere) with 1–4 windows mixing floors and
+    /// ceilings, the eager kernel and CELF agree on users, gains, score
+    /// and covered counts — or on the `Infeasible` verdict and the group
+    /// it names. With no quotas the eager kernel is the plain serving
+    /// kernel.
+    #[test]
+    fn constrained_eager_matches_celf_bitwise(
+        users in 1usize..=24,
+        raw_groups in prop::collection::vec(
+            (prop::collection::vec(0u8..=255, 1..10), 0u8..=6, 1u32..=3),
+            1..12,
+        ),
+        budget in 1usize..=12,
+        raw_windows in prop::collection::vec((0u8..=255, 0u8..=3, 0u8..=3, any::<bool>()), 1..=4),
+    ) {
+        let members: Vec<Vec<u8>> = raw_groups.iter().map(|(m, _, _)| m.clone()).collect();
+        let groups = build_groups(users, &members);
+        let weights: Vec<f64> = raw_groups.iter().map(|&(_, w, _)| f64::from(w)).collect();
+        let covs: Vec<u32> = raw_groups.iter().map(|&(_, _, c)| c).collect();
+        let inst = DiversificationInstance::new(&groups, weights, covs);
+        let csr = CsrGraph::from_group_set(&groups);
+
+        let mut windows: Vec<Quota> = Vec::new();
+        for &(group, min, extra, bounded) in &raw_windows {
+            let group = (group as usize % groups.len()) as u32;
+            if windows.iter().any(|q| q.group == group) {
+                continue;
+            }
+            let min = u32::from(min).min(budget as u32);
+            windows.push(Quota {
+                group,
+                min: QuotaBound::Count(min),
+                max: bounded.then_some(QuotaBound::Count(min + u32::from(extra))),
+            });
+        }
+        let quotas = QuotaSet::build(windows, groups.len(), budget).expect("valid windows");
+        let eager = constrained_eager_select(&inst, &csr, budget, &quotas);
+        let celf = constrained_lazy_select(&inst, &csr, budget, &quotas);
+        match (eager, celf) {
+            (Ok(e), Ok(c)) => {
+                prop_assert_eq!(&e.users, &c.users);
+                prop_assert_eq!(&e.gains, &c.gains);
+                prop_assert_eq!(e.score, c.score);
+                prop_assert_eq!(&e.covered_counts, &c.covered_counts);
+                prop_assert!(quotas.satisfied_by(&e.covered_counts));
+            }
+            (Err(e), Err(c)) => prop_assert_eq!(e, c),
+            (e, c) => prop_assert!(false, "verdicts differ: eager {:?} vs CELF {:?}", e, c),
+        }
+
+        let empty = constrained_eager_select(&inst, &csr, budget, &QuotaSet::empty(budget))
+            .expect("empty quotas are always feasible");
+        let (served, completed) = eager_select_deadline(&inst, &csr, budget, &mut |_| false);
+        prop_assert!(completed);
+        prop_assert_eq!(empty, served);
     }
 }

@@ -105,7 +105,8 @@ impl Session {
         Ok(())
     }
 
-    /// Merges `delta` and re-runs CUSTOM-DIVERSITY on the pinned snapshot.
+    /// Merges `delta` and re-runs CUSTOM-DIVERSITY on the pinned snapshot,
+    /// against its prebuilt CSR graph.
     pub fn refine(
         &mut self,
         delta: &FeedbackDelta,
@@ -117,9 +118,15 @@ impl Session {
         let groups = self.snapshot.groups();
         let base = weight.weights(groups);
         let covs = cov.cov(groups, budget);
-        let (selection, pool_size, feedback_group_coverage) =
-            custom_select_weighted(groups, &base, &covs, budget, &self.feedback)
-                .map_err(ServiceError::Core)?;
+        let (selection, pool_size, feedback_group_coverage) = custom_select_weighted(
+            groups,
+            self.snapshot.csr(),
+            &base,
+            &covs,
+            budget,
+            &self.feedback,
+        )
+        .map_err(ServiceError::Core)?;
         Ok(CustomSelection {
             selection,
             pool_size,
@@ -206,6 +213,7 @@ mod tests {
     use super::*;
     use crate::snapshot::{ProfileUpdate, RepositoryWriter};
     use podium_core::bucket::BucketingConfig;
+    use podium_core::engine::CsrGraph;
     use podium_core::profile::UserRepository;
 
     fn store_and_writer() -> (Arc<SnapshotStore>, RepositoryWriter) {
@@ -373,5 +381,69 @@ mod tests {
             Ok(())
         })
         .unwrap();
+    }
+
+    /// `refine` runs on the pinned snapshot's CSR, which incremental
+    /// publishing patched in place; its answers must equal a run on a
+    /// CSR freshly built from the same groups.
+    #[test]
+    fn refine_on_patched_csr_matches_a_fresh_build() {
+        let (store, mut w) = store_and_writer();
+        for (user, property, score) in [
+            ("u1", "avgRating Mexican", Some(0.99)),
+            ("u4", "avgRating Thai", Some(0.1)),
+            ("u9", "avgRating Thai", None),
+        ] {
+            w.apply(&ProfileUpdate {
+                user: user.into(),
+                property: property.into(),
+                score,
+            })
+            .unwrap();
+            w.publish();
+        }
+        let pinned = store.load();
+        assert_eq!(pinned.epoch(), 3);
+        assert!(
+            pinned.build_stats().patched,
+            "the pinned CSR is a patched one"
+        );
+
+        let mgr = SessionManager::new();
+        let (id, _) = mgr.open(&store);
+        let (weight, cov, budget) = (WeightScheme::LinearBySize, CovScheme::Single, 4);
+        let deltas = [
+            FeedbackDelta {
+                must_not: vec![0],
+                ..FeedbackDelta::default()
+            },
+            FeedbackDelta {
+                priority: vec![1, 3],
+                ..FeedbackDelta::default()
+            },
+            FeedbackDelta {
+                must_have: vec![2],
+                ..FeedbackDelta::default()
+            },
+        ];
+        for delta in &deltas {
+            mgr.with_session(id, |s| {
+                let served = s.refine(delta, weight, cov, budget)?;
+                let groups = s.snapshot().groups();
+                let fresh = CsrGraph::from_group_set(groups);
+                let base = weight.weights(groups);
+                let covs = cov.cov(groups, budget);
+                let (selection, pool_size, coverage) =
+                    custom_select_weighted(groups, &fresh, &base, &covs, budget, s.feedback())
+                        .map_err(ServiceError::Core)?;
+                assert!(!served.users().is_empty());
+                // Users, gains, score and covered counts, bit for bit.
+                assert_eq!(served.selection, selection);
+                assert_eq!(served.pool_size, pool_size);
+                assert_eq!(served.feedback_group_coverage, coverage);
+                Ok(())
+            })
+            .unwrap();
+        }
     }
 }

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use podium_core::bucket::PropertyBuckets;
 use podium_core::engine::{
-    anneal_refine, constrained_lazy_select, constraint_fingerprint, eager_select_deadline,
+    anneal_refine, constrained_eager_select, constraint_fingerprint, eager_select_deadline,
     AnnealSchedule, CsrGraph, Quota, QuotaSet,
 };
 use podium_core::greedy::Selection;
@@ -424,7 +424,7 @@ impl Snapshot {
         let covs = params.cov.cov(&self.groups, params.budget);
         let inst = DiversificationInstance::new(&self.groups, weights, covs);
         let greedy =
-            constrained_lazy_select(&inst, &self.csr, params.budget, &quotas).map_err(|e| {
+            constrained_eager_select(&inst, &self.csr, params.budget, &quotas).map_err(|e| {
                 ServiceError::Infeasible {
                     group: e.group,
                     reason: e.reason,
