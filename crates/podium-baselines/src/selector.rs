@@ -22,8 +22,8 @@ pub trait Selector: Send + Sync {
     ///
     /// Greedy-backed selectors get instance- and CSR-level checks for free
     /// on this path: under debug assertions `greedy_select_opts` runs
-    /// `DiversificationInstance::validate()` and builds the CSR graph,
-    /// whose construction self-checks its structure, so `select_checked`
+    /// `DiversificationInstance::validate()`, and the group set's CSR graph
+    /// self-checked its structure when it was built, so `select_checked`
     /// vets both the input instance and the output selection.
     fn select_checked(&self, repo: &UserRepository, b: usize) -> Vec<UserId> {
         let selection = self.select(repo, b);

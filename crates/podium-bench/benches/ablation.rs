@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use podium_core::bucket::BucketingConfig;
-use podium_core::engine::{lazy_select_csr, CsrGraph};
+use podium_core::engine::lazy_select_csr;
 use podium_core::greedy::greedy_select;
 use podium_core::group::GroupSet;
 use podium_core::instance::DiversificationInstance;
@@ -20,12 +20,9 @@ fn bench_eager_vs_lazy(c: &mut Criterion) {
         CovScheme::Single,
         8,
     );
-    // Both sides build the CSR graph per call, as the one-shot
+    // Both sides walk the group set's own CSR graph, as the one-shot
     // `greedy_select` does.
-    let celf = |b: usize| {
-        let csr = CsrGraph::from_group_set(inst.groups());
-        lazy_select_csr(&inst, &csr, b, None)
-    };
+    let celf = |b: usize| lazy_select_csr(&inst, inst.groups().csr(), b, None);
     let mut g = c.benchmark_group("eager_vs_lazy");
     g.bench_function("eager_b8", |b| {
         b.iter(|| greedy_select(std::hint::black_box(&inst), 8));

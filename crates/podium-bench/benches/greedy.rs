@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use podium_core::bucket::BucketingConfig;
-use podium_core::engine::{eager_select_deadline, lazy_select_csr, CsrGraph};
+use podium_core::engine::{eager_select_deadline, lazy_select_csr};
 use podium_core::greedy::greedy_select;
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
@@ -90,7 +90,7 @@ fn seed_eager<W: ScoreValue>(inst: &DiversificationInstance<W>, b: usize) -> (Ve
             cov_rem[gi] -= 1;
             if cov_rem[gi] == 0 && !inst.weight(g).is_zero() {
                 let w = inst.weight(g).clone();
-                for &m in &groups.group(g).expect("group id from iterator").members {
+                for &m in groups.group(g).expect("group id from iterator").members {
                     if available[m.index()] {
                         marg[m.index()].sub_assign(&w);
                     }
@@ -114,18 +114,18 @@ fn bench_engine_variants(c: &mut Criterion) {
                 budget,
             );
             // Eager (Alg. 1) and CELF over one prebuilt CSR graph.
-            let csr = CsrGraph::from_group_set(&groups);
+            let csr = groups.csr();
             let id = BenchmarkId::new("eager", format!("n{n}/b{budget}"));
-            group.bench_with_input(id, &csr, |b, csr| {
+            group.bench_with_input(id, csr, |b, csr| {
                 b.iter(|| {
                     eager_select_deadline(&inst, std::hint::black_box(csr), budget, &mut |_| false)
                 });
             });
             let id = BenchmarkId::new("lazy_heap", format!("n{n}/b{budget}"));
-            group.bench_with_input(id, &csr, |b, csr| {
+            group.bench_with_input(id, csr, |b, csr| {
                 b.iter(|| lazy_select_csr(&inst, std::hint::black_box(csr), budget, None));
             });
-            // The public one-shot API (CSR rebuilt per call).
+            // The public one-shot API (walks the group set's own CSR).
             let id = BenchmarkId::new("eager_one_shot", format!("n{n}/b{budget}"));
             group.bench_with_input(id, &inst, |b, inst| {
                 b.iter(|| greedy_select(std::hint::black_box(inst), budget));

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use podium_baselines::prelude::*;
 use podium_bench::selectors::PodiumSelector;
-use podium_core::engine::{lazy_select_csr, CsrGraph};
+use podium_core::engine::lazy_select_csr;
 use podium_core::group::GroupSet;
 use podium_core::ids::UserId;
 use podium_core::instance::DiversificationInstance;
@@ -17,8 +17,7 @@ use podium_data::synth::tripadvisor;
 fn podium_celf(podium: &PodiumSelector, repo: &UserRepository, b: usize) -> Vec<UserId> {
     let groups = GroupSet::build(repo, &podium.bucketing.bucketize(repo));
     let inst = DiversificationInstance::from_schemes(&groups, podium.weight, podium.cov, b);
-    let csr = CsrGraph::from_group_set(&groups);
-    lazy_select_csr(&inst, &csr, b, None).users
+    lazy_select_csr(&inst, groups.csr(), b, None).users
 }
 
 fn bench_users_sweep(c: &mut Criterion) {

@@ -483,7 +483,7 @@ fn run_one(id: &str, args: &Args) -> Option<String> {
 fn run_ablation(scale: f64, budget: usize, seed: u64) {
     use podium_bench::selectors::PodiumSelector;
     use podium_core::bucket::{BucketStrategy, BucketingConfig};
-    use podium_core::engine::{lazy_select_csr, CsrGraph};
+    use podium_core::engine::lazy_select_csr;
     use podium_core::group::GroupSet;
     use podium_core::instance::DiversificationInstance;
     use podium_core::weights::{CovScheme, WeightScheme};
@@ -614,8 +614,7 @@ fn run_ablation(scale: f64, budget: usize, seed: u64) {
             let groups = GroupSet::build(repo, &podium.bucketing.bucketize(repo));
             let inst =
                 DiversificationInstance::from_schemes(&groups, podium.weight, podium.cov, budget);
-            let csr = CsrGraph::from_group_set(&groups);
-            lazy_select_csr(&inst, &csr, budget, None).users
+            lazy_select_csr(&inst, groups.csr(), budget, None).users
         } else {
             podium_baselines::selector::Selector::select(&podium, repo, budget)
         };

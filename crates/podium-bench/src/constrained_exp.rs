@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use podium_core::bucket::BucketingConfig;
 use podium_core::engine::{
-    anneal_refine, constrained_eager_select, AnnealSchedule, CsrGraph, Quota, QuotaBound, QuotaSet,
+    anneal_refine, constrained_eager_select, AnnealSchedule, Quota, QuotaBound, QuotaSet,
 };
 use podium_core::group::GroupSet;
 use podium_core::instance::DiversificationInstance;
@@ -134,7 +134,7 @@ pub fn run(scale: f64, budget: usize, seed: u64) -> ConstrainedReport {
         CovScheme::Single,
         budget,
     );
-    let csr = CsrGraph::from_group_set(&groups);
+    let csr = groups.csr();
 
     let mut by_size: Vec<(u32, usize)> = groups
         .iter()
@@ -148,7 +148,7 @@ pub fn run(scale: f64, budget: usize, seed: u64) -> ConstrainedReport {
         let quota_set = QuotaSet::build(quotas, groups.len(), budget)
             .expect("swept quota mixes are well-formed by construction");
         let t0 = Instant::now();
-        let greedy = match constrained_eager_select(&inst, &csr, budget, &quota_set) {
+        let greedy = match constrained_eager_select(&inst, csr, budget, &quota_set) {
             Ok(sel) => sel,
             Err(_) => {
                 rows.push(ConstrainedRow {
@@ -184,7 +184,7 @@ pub fn run(scale: f64, budget: usize, seed: u64) -> ConstrainedReport {
             cooling: 0.999,
         };
         let t1 = Instant::now();
-        let _ = anneal_refine(&inst, &csr, &quota_set, &greedy, &probe);
+        let _ = anneal_refine(&inst, csr, &quota_set, &greedy, &probe);
         let probe_secs = t1.elapsed().as_secs_f64().max(1e-9);
         let per_step = probe_secs / f64::from(PROBE_STEPS);
         // podium-lint: allow(as-cast) — clamped into STEP_RANGE (far below
@@ -198,7 +198,7 @@ pub fn run(scale: f64, budget: usize, seed: u64) -> ConstrainedReport {
             cooling: 0.999,
         };
         let t2 = Instant::now();
-        let annealed = anneal_refine(&inst, &csr, &quota_set, &greedy, &schedule);
+        let annealed = anneal_refine(&inst, csr, &quota_set, &greedy, &schedule);
         let anneal_secs = t2.elapsed().as_secs_f64();
 
         let improvement_pct = if greedy.score > 0.0 {

@@ -43,7 +43,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::engine::{eager_select, CsrGraph, Unfiltered};
+use crate::engine::{eager_select, Unfiltered};
 use crate::error::{CoreError, Result};
 use crate::greedy::{Selection, TieBreak};
 use crate::group::{GroupKind, GroupSet};
@@ -129,7 +129,7 @@ pub fn refine_pool(groups: &GroupSet, feedback: &Feedback) -> Result<Vec<bool>> 
         // User must belong to >= 1 alternative bucket of this property.
         let mut ok = vec![false; n];
         for &g in alternatives {
-            for &u in &groups.group(g)?.members {
+            for &u in groups.group(g)?.members {
                 ok[u.index()] = true;
             }
         }
@@ -138,7 +138,7 @@ pub fn refine_pool(groups: &GroupSet, feedback: &Feedback) -> Result<Vec<bool>> 
         }
     }
     for &g in &feedback.must_not {
-        for &u in &groups.group(g)?.members {
+        for &u in groups.group(g)?.members {
             eligible[u.index()] = false;
         }
     }
@@ -190,9 +190,8 @@ pub fn custom_select(
     let _ = repo; // the repository defines 𝒰; kept for API symmetry/validation
     let base = weight.weights(groups);
     let covs = cov.cov(groups, budget);
-    let csr = CsrGraph::from_group_set(groups);
     let (selection, pool_size, feedback_group_coverage) =
-        custom_select_weighted(groups, &csr, &base, &covs, budget, feedback)?;
+        custom_select_weighted(groups, &base, &covs, budget, feedback)?;
     Ok(CustomSelection {
         selection,
         pool_size,
@@ -204,14 +203,10 @@ pub fn custom_select(
 /// weight vector (f64 Iden/LBS/custom, exact EBS, …), per the framework's
 /// claim that the customization layer composes with every weight choice.
 /// Returns the lexicographic selection, the refined pool size, and the
-/// feedback group coverage.
-///
-/// `csr` must have been built from `groups` (or be bit-identical to such
-/// a build, as a patched serving snapshot's is), so callers refining
-/// repeatedly against one group set build it once.
+/// feedback group coverage. Algorithm 1 walks the group set's own link
+/// graph ([`GroupSet::csr`]).
 pub fn custom_select_weighted<T: ScoreValue>(
     groups: &GroupSet,
-    csr: &CsrGraph,
     base_weights: &[T],
     covs: &[u32],
     budget: usize,
@@ -219,8 +214,6 @@ pub fn custom_select_weighted<T: ScoreValue>(
 ) -> Result<(Selection<LexPair<T>>, usize, f64)> {
     assert_eq!(base_weights.len(), groups.len(), "one weight per group");
     assert_eq!(covs.len(), groups.len(), "one coverage size per group");
-    debug_assert_eq!(csr.user_count(), groups.user_count(), "csr/groups users");
-    debug_assert_eq!(csr.group_count(), groups.len(), "csr/groups groups");
     if budget == 0 {
         // Surfaced as an error rather than an empty selection: a zero
         // budget in a customization round is always a caller bug.
@@ -253,7 +246,7 @@ pub fn custom_select_weighted<T: ScoreValue>(
     );
     let (selection, _) = eager_select(
         &inst,
-        csr,
+        groups.csr(),
         budget,
         Some(&eligible),
         TieBreak::FirstUser,
@@ -486,9 +479,7 @@ mod tests {
             priority: groups_of_props(&groups, &repo, "livesIn"),
             ..Feedback::default()
         };
-        let csr = CsrGraph::from_group_set(&groups);
-        let (sel, pool, cov) =
-            custom_select_weighted(&groups, &csr, &base, &covs, 2, &feedback).unwrap();
+        let (sel, pool, cov) = custom_select_weighted(&groups, &base, &covs, 2, &feedback).unwrap();
         assert_eq!(pool, 5, "no must-have filter");
         assert_eq!(sel.users.len(), 2);
         // Tokyo (the largest livesIn group) must be covered first under EBS.
@@ -520,9 +511,7 @@ mod tests {
         .unwrap();
         let base = WeightScheme::LinearBySize.weights(&groups);
         let covs = CovScheme::Single.cov(&groups, 2);
-        let csr = CsrGraph::from_group_set(&groups);
-        let (sel, pool, cov) =
-            custom_select_weighted(&groups, &csr, &base, &covs, 2, &feedback).unwrap();
+        let (sel, pool, cov) = custom_select_weighted(&groups, &base, &covs, 2, &feedback).unwrap();
         assert_eq!(via_wrapper.users(), sel.users.as_slice());
         assert_eq!(via_wrapper.pool_size, pool);
         assert_eq!(via_wrapper.feedback_group_coverage, cov);

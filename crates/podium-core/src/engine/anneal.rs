@@ -26,7 +26,7 @@
 //! * **Deterministic**: same seed ⇒ bit-identical refined selection.
 
 use crate::greedy::Selection;
-use crate::ids::UserId;
+use crate::ids::{GroupId, UserId};
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
 
@@ -84,7 +84,7 @@ fn replay<W: ScoreValue>(
     for &u in slate {
         let mut gain = W::zero();
         for &g in csr.groups_of(u as usize) {
-            let gi = g as usize;
+            let gi = g.index();
             if cov_rem[gi] > 0 && !weights[gi].is_zero() {
                 gain.add_assign(&weights[gi]);
             }
@@ -93,7 +93,7 @@ fn replay<W: ScoreValue>(
         gains.push(gain);
         users.push(UserId(u));
         for &g in csr.groups_of(u as usize) {
-            let gi = g as usize;
+            let gi = g.index();
             covered_counts[gi] += 1;
             if cov_rem[gi] > 0 {
                 cov_rem[gi] -= 1;
@@ -117,14 +117,14 @@ fn replay_score<W: ScoreValue>(
     for &u in slate {
         let mut gain = W::zero();
         for &g in csr.groups_of(u as usize) {
-            let gi = g as usize;
+            let gi = g.index();
             if cov_scratch[gi] > 0 && !weights[gi].is_zero() {
                 gain.add_assign(&weights[gi]);
             }
         }
         score.add_assign(&gain);
         for &g in csr.groups_of(u as usize) {
-            let gi = g as usize;
+            let gi = g.index();
             if cov_scratch[gi] > 0 {
                 cov_scratch[gi] -= 1;
             }
@@ -196,8 +196,8 @@ pub fn anneal_refine<W: ScoreValue>(
         // incoming memberships as a net occupancy delta.
         let mut feasible = true;
         for (i, &(g, min, max)) in windows.iter().enumerate() {
-            let leaves = csr.groups_of(out as usize).contains(&g) as u32;
-            let enters = csr.groups_of(candidate as usize).contains(&g) as u32;
+            let leaves = csr.groups_of(out as usize).contains(&GroupId(g)) as u32;
+            let enters = csr.groups_of(candidate as usize).contains(&GroupId(g)) as u32;
             let x = occupancy[i] + enters - leaves;
             if x < min || x > max {
                 feasible = false;
@@ -218,8 +218,8 @@ pub fn anneal_refine<W: ScoreValue>(
         in_slate[out as usize] = false;
         in_slate[candidate as usize] = true;
         for (i, &(g, _, _)) in windows.iter().enumerate() {
-            let leaves = csr.groups_of(out as usize).contains(&g) as u32;
-            let enters = csr.groups_of(candidate as usize).contains(&g) as u32;
+            let leaves = csr.groups_of(out as usize).contains(&GroupId(g)) as u32;
+            let enters = csr.groups_of(candidate as usize).contains(&GroupId(g)) as u32;
             occupancy[i] = occupancy[i] + enters - leaves;
         }
         cur_score = proposed;

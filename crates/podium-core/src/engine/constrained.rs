@@ -521,7 +521,7 @@ impl QuotaTracker {
         let mut sig = vec![0u16; n];
         for (i, &g) in quotas.groups.iter().enumerate() {
             for &u in csr.members_of(g as usize) {
-                sig[u as usize] |= 1 << i;
+                sig[u.index()] |= 1 << i;
             }
         }
         let mut avail = vec![0u32; 1 << q];
@@ -728,7 +728,7 @@ pub fn constrained_lazy_select<W: ScoreValue>(
     let fresh_gain = |u: u32, cov_rem: &[u32]| -> W {
         let mut gain = W::zero();
         for &g in csr.groups_of(u as usize) {
-            let gi = g as usize;
+            let gi = g.index();
             if cov_rem[gi] > 0 && !weights[gi].is_zero() {
                 gain.add_assign(&weights[gi]);
             }
@@ -775,7 +775,7 @@ pub fn constrained_lazy_select<W: ScoreValue>(
             gains.push(top.gain);
             users.push(UserId(top.user));
             for &g in csr.groups_of(top.user as usize) {
-                let gi = g as usize;
+                let gi = g.index();
                 covered_counts[gi] += 1;
                 if cov_rem[gi] > 0 {
                     cov_rem[gi] -= 1;
@@ -842,7 +842,7 @@ pub fn feasible_by_brute_force(csr: &CsrGraph, b: usize, quotas: &QuotaSet) -> b
         for u in 0..n {
             if mask & (1 << u) != 0 {
                 for &g in csr.groups_of(u) {
-                    counts[g as usize] += 1;
+                    counts[g.index()] += 1;
                 }
             }
         }

@@ -1,31 +1,29 @@
 //! Compressed-sparse-row (CSR) storage of the bipartite user ↔ group graph.
 //!
-//! [`crate::group::GroupSet`] keeps one `Vec` per group and one `Vec` per
-//! user — convenient to build incrementally, but the selection hot loops
-//! chase a pointer per adjacency list. [`CsrGraph`] flattens both directions
-//! into two offset/adjacency array pairs (ids as raw `u32`), so a candidate
-//! scan walks a single contiguous buffer. The group set stays the
-//! construction front-end; a `CsrGraph` is derived from it once per
-//! selection run (`O(|V| + |E|)`) and is immutable afterwards.
+//! [`CsrGraph`] flattens both directions of §4's user ↔ group links into
+//! two offset/adjacency array pairs (ids as `u32` newtypes), so a candidate
+//! scan walks a single contiguous buffer. It is the only link storage of a
+//! [`crate::group::GroupSet`]: the set's member lists and reverse links are
+//! slices of its graph, built once per set (`O(|V| + |E|)`) and read in
+//! place by the selection kernels.
 
 use crate::group::GroupSet;
-use crate::ids::UserId;
+use crate::ids::{GroupId, UserId};
 
 /// Flat bidirectional adjacency of users and groups.
 ///
-/// Both directions preserve the `GroupSet` ordering: `groups_of(u)` lists
-/// group indices in ascending order and `members_of(g)` lists user indices
-/// in ascending order, exactly like their nested-`Vec` counterparts — so
-/// algorithms ported to CSR traversal visit edges in the same sequence and
-/// stay bit-identical to the originals.
+/// Both directions are ascending: `groups_of(u)` lists group ids in
+/// ascending order and `members_of(g)` lists user ids in ascending order,
+/// so every traversal visits edges in one fixed sequence and the kernels'
+/// selections are reproducible bit for bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `user_adj[user_offsets[u]..user_offsets[u + 1]]` = groups of user `u`.
     user_offsets: Vec<u32>,
-    user_adj: Vec<u32>,
+    user_adj: Vec<GroupId>,
     /// `group_adj[group_offsets[g]..group_offsets[g + 1]]` = members of `g`.
     group_offsets: Vec<u32>,
-    group_adj: Vec<u32>,
+    group_adj: Vec<UserId>,
 }
 
 impl Default for CsrGraph {
@@ -41,15 +39,13 @@ impl Default for CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds the CSR graph of a group set.
+    /// A copy of the link graph a group set holds ([`GroupSet::csr`]).
     pub fn from_group_set(groups: &GroupSet) -> Self {
-        let lists: Vec<&[UserId]> = groups.iter().map(|(_, g)| g.members.as_slice()).collect();
-        Self::from_member_lists(groups.user_count(), &lists)
+        groups.csr().clone()
     }
 
     /// Builds the CSR graph from one sorted member list per group (groups in
-    /// id order) — the shared back-end of [`CsrGraph::from_group_set`] and
-    /// [`crate::incremental::IncrementalGroups::snapshot_csr`].
+    /// id order) — the constructor behind every [`GroupSet`].
     pub fn from_member_lists(user_count: usize, lists: &[&[UserId]]) -> Self {
         let mut csr = Self::default();
         csr.assign_from_member_lists(user_count, lists);
@@ -84,7 +80,7 @@ impl CsrGraph {
         self.user_offsets.resize(user_count + 1, 0u32);
         for members in lists {
             for &u in *members {
-                self.group_adj.push(u.index() as u32);
+                self.group_adj.push(u);
                 self.user_offsets[u.index() + 1] += 1;
             }
             self.group_offsets.push(self.group_adj.len() as u32);
@@ -97,11 +93,11 @@ impl CsrGraph {
         // write cursors. Groups are appended in ascending id order, so each
         // user's slice comes out ascending as well.
         self.user_adj.clear();
-        self.user_adj.resize(edges, 0u32);
+        self.user_adj.resize(edges, GroupId(0));
         for (g, members) in lists.iter().enumerate() {
             for &u in *members {
                 let c = &mut self.user_offsets[u.index()];
-                self.user_adj[*c as usize] = g as u32;
+                self.user_adj[*c as usize] = GroupId(g as u32);
                 *c += 1;
             }
         }
@@ -135,7 +131,7 @@ impl CsrGraph {
         &mut self,
         base: &CsrGraph,
         lists: &[&[UserId]],
-        changed: &[(u32, Vec<u32>)],
+        changed: &[(UserId, Vec<GroupId>)],
     ) {
         let user_count = base.user_count();
         assert_eq!(
@@ -157,9 +153,7 @@ impl CsrGraph {
         self.group_adj.clear();
         self.group_adj.reserve(edges);
         for members in lists {
-            for &u in *members {
-                self.group_adj.push(u.index() as u32);
-            }
+            self.group_adj.extend_from_slice(members);
             self.group_offsets.push(self.group_adj.len() as u32);
         }
 
@@ -171,7 +165,7 @@ impl CsrGraph {
         let mut running = 0u32;
         for u in 0..user_count {
             let deg = match changed.get(ci) {
-                Some(&(cu, ref row)) if cu as usize == u => {
+                Some(&(cu, ref row)) if cu.index() == u => {
                     ci += 1;
                     row.len() as u32
                 }
@@ -190,7 +184,7 @@ impl CsrGraph {
         self.user_adj.reserve(edges);
         let mut next_unchanged = 0usize;
         for &(u, ref row) in changed {
-            let u = u as usize;
+            let u = u.index();
             let lo = base.user_offsets[next_unchanged] as usize;
             let hi = base.user_offsets[u] as usize;
             self.user_adj.extend_from_slice(&base.user_adj[lo..hi]);
@@ -219,9 +213,21 @@ impl CsrGraph {
     pub fn validate(&self) -> Result<(), String> {
         let users = self.user_count();
         let groups = self.group_count();
-        for (side, offsets, adj, fanout) in [
-            ("user", &self.user_offsets, &self.user_adj, groups),
-            ("group", &self.group_offsets, &self.group_adj, users),
+        for (side, offsets, edges, max_id, fanout) in [
+            (
+                "user",
+                &self.user_offsets,
+                self.user_adj.len(),
+                self.user_adj.iter().map(|g| g.0).max(),
+                groups,
+            ),
+            (
+                "group",
+                &self.group_offsets,
+                self.group_adj.len(),
+                self.group_adj.iter().map(|u| u.0).max(),
+                users,
+            ),
         ] {
             if offsets.first() != Some(&0) {
                 return Err(format!("{side} offsets do not start at 0"));
@@ -229,14 +235,13 @@ impl CsrGraph {
             if offsets.windows(2).any(|w| w[0] > w[1]) {
                 return Err(format!("{side} offsets are not non-decreasing"));
             }
-            if *offsets.last().expect("offsets are non-empty") as usize != adj.len() {
+            if *offsets.last().expect("offsets are non-empty") as usize != edges {
                 return Err(format!(
-                    "{side} offsets end at {} but adjacency has {} edges",
+                    "{side} offsets end at {} but adjacency has {edges} edges",
                     offsets.last().expect("offsets are non-empty"),
-                    adj.len()
                 ));
             }
-            if let Some(&x) = adj.iter().find(|&&x| x as usize >= fanout) {
+            if let Some(x) = max_id.filter(|&x| x as usize >= fanout) {
                 return Err(format!("{side} adjacency id {x} out of range ({fanout})"));
             }
         }
@@ -262,8 +267,8 @@ impl CsrGraph {
             // makes the directions encode identical edge sets.
             for &u in members {
                 if self
-                    .groups_of(u as usize)
-                    .binary_search(&(g as u32))
+                    .groups_of(u.index())
+                    .binary_search(&GroupId::from_index(g))
                     .is_err()
                 {
                     return Err(format!("edge (g{g}, u{u}) missing from the user direction"));
@@ -291,17 +296,17 @@ impl CsrGraph {
         self.user_adj.len()
     }
 
-    /// The group indices user `u` belongs to, ascending.
+    /// The groups user `u` belongs to, ascending.
     #[inline]
-    pub fn groups_of(&self, u: usize) -> &[u32] {
+    pub fn groups_of(&self, u: usize) -> &[GroupId] {
         let lo = self.user_offsets[u] as usize;
         let hi = self.user_offsets[u + 1] as usize;
         &self.user_adj[lo..hi]
     }
 
-    /// The member (user) indices of group `g`, ascending.
+    /// The members of group `g`, ascending.
     #[inline]
-    pub fn members_of(&self, g: usize) -> &[u32] {
+    pub fn members_of(&self, g: usize) -> &[UserId] {
         let lo = self.group_offsets[g] as usize;
         let hi = self.group_offsets[g + 1] as usize;
         &self.group_adj[lo..hi]
@@ -323,7 +328,6 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::GroupId;
 
     fn demo() -> GroupSet {
         // G0 = {0,1}, G1 = {1,2}, G2 = {3}, G3 = {} is impossible via
@@ -339,26 +343,24 @@ mod tests {
     }
 
     #[test]
-    fn mirrors_group_set_links() {
-        let groups = demo();
-        let csr = CsrGraph::from_group_set(&groups);
-        assert_eq!(csr.user_count(), groups.user_count());
-        assert_eq!(csr.group_count(), groups.len());
+    fn links_transpose_the_member_lists() {
+        let csr = CsrGraph::from_group_set(&demo());
+        assert_eq!(csr.user_count(), 5);
+        assert_eq!(csr.group_count(), 3);
         assert_eq!(csr.edge_count(), 5);
-        for u in 0..groups.user_count() {
-            let expect: Vec<u32> = groups
-                .groups_of(UserId::from_index(u))
-                .iter()
-                .map(|g| g.index() as u32)
-                .collect();
-            assert_eq!(csr.groups_of(u), expect.as_slice(), "user {u}");
-            assert_eq!(csr.user_degree(u), expect.len());
+        let rows: [&[GroupId]; 5] = [
+            &[GroupId(0)],
+            &[GroupId(0), GroupId(1)],
+            &[GroupId(1)],
+            &[GroupId(2)],
+            &[],
+        ];
+        for (u, row) in rows.iter().enumerate() {
+            assert_eq!(csr.groups_of(u), *row, "user {u}");
+            assert_eq!(csr.user_degree(u), row.len());
         }
-        for (gid, g) in groups.iter() {
-            let expect: Vec<u32> = g.members.iter().map(|u| u.index() as u32).collect();
-            assert_eq!(csr.members_of(gid.index()), expect.as_slice(), "{gid}");
-            assert_eq!(csr.group_size(gid.index()), g.size());
-        }
+        assert_eq!(csr.members_of(1), &[UserId(1), UserId(2)]);
+        assert_eq!(csr.group_size(2), 1);
     }
 
     #[test]
@@ -395,7 +397,7 @@ mod tests {
         let base = CsrGraph::from_group_set(&demo());
         // Out-of-range adjacency id.
         let mut bad = base.clone();
-        bad.group_adj[0] = 99;
+        bad.group_adj[0] = UserId(99);
         assert!(bad.validate().unwrap_err().contains("out of range"));
         // Unsorted member row (swap two members of G0 = {0, 1}).
         let mut bad = base.clone();
@@ -426,10 +428,10 @@ mod tests {
             GroupSet::from_memberships(2, vec![vec![UserId(0)], vec![UserId(0), UserId(1)]]);
         let mut out = CsrGraph::from_group_set(&big);
         // Overwrite a larger graph with a smaller one and vice versa.
-        let small_lists: Vec<&[UserId]> = small.iter().map(|(_, g)| g.members.as_slice()).collect();
+        let small_lists: Vec<&[UserId]> = small.iter().map(|(_, g)| g.members).collect();
         out.assign_from_member_lists(small.user_count(), &small_lists);
         assert_eq!(out, CsrGraph::from_group_set(&small));
-        let big_lists: Vec<&[UserId]> = big.iter().map(|(_, g)| g.members.as_slice()).collect();
+        let big_lists: Vec<&[UserId]> = big.iter().map(|(_, g)| g.members).collect();
         out.assign_from_member_lists(big.user_count(), &big_lists);
         assert_eq!(out, CsrGraph::from_group_set(&big));
     }
@@ -445,7 +447,14 @@ mod tests {
         let g2 = [UserId(3), UserId(4)];
         let lists: Vec<&[UserId]> = vec![&g0, &g1, &g2];
         let mut patched = CsrGraph::default();
-        patched.patch_from(&base, &lists, &[(1, vec![0]), (4, vec![1, 2])]);
+        patched.patch_from(
+            &base,
+            &lists,
+            &[
+                (UserId(1), vec![GroupId(0)]),
+                (UserId(4), vec![GroupId(1), GroupId(2)]),
+            ],
+        );
         assert_eq!(patched, CsrGraph::from_member_lists(5, &lists));
 
         // An empty delta is the identity.
@@ -472,8 +481,7 @@ mod tests {
         let groups = GroupSet::from_memberships(3, vec![vec![UserId(1)]]);
         let csr = CsrGraph::from_group_set(&groups);
         assert!(csr.groups_of(0).is_empty());
-        assert_eq!(csr.groups_of(1), &[0]);
+        assert_eq!(csr.groups_of(1), &[GroupId(0)]);
         assert!(csr.groups_of(2).is_empty());
-        let _ = GroupId(0);
     }
 }

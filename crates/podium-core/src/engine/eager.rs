@@ -109,7 +109,7 @@ pub(crate) fn eager_select<W: ScoreValue>(
             continue;
         }
         for &g in csr.groups_of(u) {
-            let gi = g as usize;
+            let gi = g.index();
             if cov_rem[gi] > 0 && !weights[gi].is_zero() {
                 marg[u].add_assign(&weights[gi]);
             }
@@ -145,7 +145,7 @@ pub(crate) fn eager_select<W: ScoreValue>(
 
         // Lines 7–10: update coverage and the marginal contributions.
         for &g in csr.groups_of(u) {
-            let gi = g as usize;
+            let gi = g.index();
             covered_counts[gi] += 1;
             if cov_rem[gi] == 0 {
                 continue; // group was already fully covered
@@ -155,7 +155,7 @@ pub(crate) fn eager_select<W: ScoreValue>(
                 // Group newly fully covered: it no longer contributes to any
                 // other member's marginal contribution (line 10).
                 for &m in csr.members_of(gi) {
-                    let mi = m as usize;
+                    let mi = m.index();
                     if available[mi] {
                         marg[mi].sub_assign(&weights[gi]);
                     }

@@ -81,7 +81,7 @@ pub(super) fn lazy_select<W: ScoreValue>(
     let fresh_gain = |u: u32, cov_rem: &[u32]| -> W {
         let mut gain = W::zero();
         for &g in csr.groups_of(u as usize) {
-            let gi = g as usize;
+            let gi = g.index();
             if cov_rem[gi] > 0 && !weights[gi].is_zero() {
                 gain.add_assign(&weights[gi]);
             }
@@ -114,7 +114,7 @@ pub(super) fn lazy_select<W: ScoreValue>(
             gains.push(top.gain);
             users.push(UserId(top.user));
             for &g in csr.groups_of(top.user as usize) {
-                let gi = g as usize;
+                let gi = g.index();
                 covered_counts[gi] += 1;
                 if cov_rem[gi] > 0 {
                     cov_rem[gi] -= 1;
@@ -143,7 +143,7 @@ mod tests {
     use crate::weights::{CovScheme, WeightScheme};
 
     fn celf(inst: &DiversificationInstance<'_, f64>, b: usize) -> Selection<f64> {
-        lazy_select(inst, &CsrGraph::from_group_set(inst.groups()), b, None)
+        lazy_select(inst, inst.groups().csr(), b, None)
     }
 
     fn random_instance(seed: u64, users: usize, groups: usize) -> GroupSet {

@@ -11,11 +11,11 @@
 //! | Quota-constrained CELF reference | [`constrained_lazy_select`] |
 //! | Exact | [`crate::exact::exact_select`] |
 //!
-//! [`CsrGraph`] is the flat bipartite user ↔ group adjacency, built once
-//! from a [`crate::group::GroupSet`] in `O(|V| + |E|)`; the prebuilt-CSR
-//! entry points let callers that select repeatedly from one group set
-//! (the serving snapshots) skip that rebuild. The one-shot entry points
-//! build it per call.
+//! [`CsrGraph`] is the flat bipartite user ↔ group adjacency that every
+//! [`crate::group::GroupSet`] stores its links in, built once per set in
+//! `O(|V| + |E|)`. Every entry point walks a set's graph in place: the
+//! one-shot ones borrow `inst.groups().csr()`, the prebuilt-CSR ones take
+//! the graph from the caller (a serving snapshot passes its own).
 //!
 //! Complexity: eager greedy is `O(|E| + B·n + Σ_{covered G} |G|)`, where
 //! the `B·n` argmax scans are ceiling-bounded — a round whose maximum

@@ -50,7 +50,7 @@ pub(crate) fn stochastic_select<W: ScoreValue>(
     let gain_of = |u: u32, cov_rem: &[u32]| -> W {
         let mut gain = W::zero();
         for &g in csr.groups_of(u as usize) {
-            let gi = g as usize;
+            let gi = g.index();
             if cov_rem[gi] > 0 {
                 gain.add_assign(&weights[gi]);
             }
@@ -91,7 +91,7 @@ pub(crate) fn stochastic_select<W: ScoreValue>(
         gains.push(best_gain);
         users.push(UserId(u));
         for &g in csr.groups_of(u as usize) {
-            let gi = g as usize;
+            let gi = g.index();
             covered_counts[gi] += 1;
             if cov_rem[gi] > 0 {
                 cov_rem[gi] -= 1;

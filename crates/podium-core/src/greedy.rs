@@ -32,7 +32,7 @@
 //! assert_eq!(sel.score, 5.0);
 //! ```
 
-use crate::engine::{eager_select, CsrGraph, Unfiltered};
+use crate::engine::{eager_select, Unfiltered};
 use crate::ids::UserId;
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
@@ -106,10 +106,8 @@ pub fn greedy_select<W: ScoreValue>(
 /// `eligible`, when given, restricts the candidate pool (used by the
 /// customization refinement `𝒰'` of §6); it must have one entry per user.
 ///
-/// Builds the CSR graph per call; callers selecting repeatedly from one
-/// group set keep a [`CsrGraph`] and use
-/// [`crate::engine::eager_select_deadline`]. Under debug assertions the
-/// instance is structurally validated
+/// Walks the instance's group-set link graph in place. Under debug
+/// assertions the instance is structurally validated
 /// ([`DiversificationInstance::validate`]) first.
 pub fn greedy_select_opts<W: ScoreValue>(
     inst: &DiversificationInstance<'_, W>,
@@ -122,10 +120,9 @@ pub fn greedy_select_opts<W: ScoreValue>(
         "invalid instance: {}",
         inst.validate().unwrap_err()
     );
-    let csr = CsrGraph::from_group_set(inst.groups());
     let (selection, _) = eager_select(
         inst,
-        &csr,
+        inst.groups().csr(),
         b,
         eligible,
         tie_break,

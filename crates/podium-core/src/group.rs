@@ -2,17 +2,23 @@
 //!
 //! A *simple group* `G_{p,b}` is the set of users whose score for property
 //! `p` falls in bucket `b`. A [`GroupSet`] materializes all non-empty simple
-//! groups of a repository under a given bucketing, together with the
-//! bidirectional user ↔ group links required by Algorithm 1's data
-//! structures (§4, "Data Structures").
+//! groups of a repository under a given bucketing. It stores each group's
+//! definition ([`GroupKind`]) and one [`CsrGraph`] holding the
+//! bidirectional user ↔ group links of Algorithm 1's data structures (§4,
+//! "Data Structures"): member lists and reverse links are both read from
+//! that graph, and the selection kernels walk it in place
+//! ([`GroupSet::csr`]).
 //!
 //! Complex groups — intersections and unions of simple groups — are modeled
 //! by [`GroupExpr`] and can either be evaluated on the fly (used by the
 //! intersected-property-coverage metric, §8.2) or materialized into the set.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::bucket::{Bucket, PropertyBuckets};
+use crate::engine::CsrGraph;
 use crate::error::{CoreError, Result};
 use crate::ids::{BucketIdx, GroupId, PropertyId, UserId};
 use crate::profile::UserRepository;
@@ -35,16 +41,17 @@ pub enum GroupKind {
     },
 }
 
-/// A materialized user group: definition plus sorted member list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimpleGroup {
+/// A borrowed view of one group of a [`GroupSet`]: its definition plus
+/// its sorted member list, read from the set's CSR graph.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Group<'a> {
     /// What defines the group.
-    pub kind: GroupKind,
+    pub kind: &'a GroupKind,
     /// Members, sorted by [`UserId`].
-    pub members: Vec<UserId>,
+    pub members: &'a [UserId],
 }
 
-impl SimpleGroup {
+impl Group<'_> {
     /// Group size `|G|`.
     #[inline]
     pub fn size(&self) -> usize {
@@ -58,14 +65,16 @@ impl SimpleGroup {
 }
 
 /// The set of groups `𝒢` over a repository, with bidirectional links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroupSet {
-    groups: Vec<SimpleGroup>,
-    /// For each user, the (sorted) list of groups they belong to — the
-    /// reverse links of §4's data-structure description.
-    user_groups: Vec<Vec<GroupId>>,
-    /// Copy of the bucket definitions for label rendering.
-    buckets: PropertyBuckets,
+    /// One definition per group, in group-id order.
+    pub(crate) kinds: Vec<GroupKind>,
+    /// The user ↔ group links: `members_of(g)` and `groups_of(u)`, both
+    /// ascending. Its group count always equals `kinds.len()`.
+    pub(crate) csr: CsrGraph,
+    /// The bucket definitions, for label rendering; shared by every set
+    /// built from the same bucketing.
+    pub(crate) buckets: Arc<PropertyBuckets>,
 }
 
 impl GroupSet {
@@ -84,9 +93,8 @@ impl GroupSet {
         buckets: &PropertyBuckets,
         filter: &dyn Fn(PropertyId) -> bool,
     ) -> Self {
-        let mut groups: Vec<SimpleGroup> = Vec::new();
-        let mut user_groups: Vec<Vec<GroupId>> = vec![Vec::new(); repo.user_count()];
-
+        let mut kinds = Vec::new();
+        let mut lists: Vec<Vec<UserId>> = Vec::new();
         for p in 0..repo.property_count() {
             let pid = PropertyId::from_index(p);
             if !filter(pid) {
@@ -104,221 +112,127 @@ impl GroupSet {
                 }
             }
             for (b, members) in memberships.into_iter().enumerate() {
-                if members.is_empty() {
-                    continue;
-                }
-                let gid = GroupId::from_index(groups.len());
-                for &u in &members {
-                    user_groups[u.index()].push(gid);
-                }
-                groups.push(SimpleGroup {
-                    kind: GroupKind::Simple {
+                if !members.is_empty() {
+                    kinds.push(GroupKind::Simple {
                         property: pid,
                         bucket: BucketIdx::from_index(b),
-                    },
-                    members,
-                });
+                    });
+                    lists.push(members);
+                }
             }
         }
-        Self {
-            groups,
-            user_groups,
-            buckets: buckets.clone(),
-        }
-    }
-
-    /// Builds a group set from explicit `(property, bucket, members)`
-    /// triples plus the bucket definitions — the constructor used by
-    /// [`crate::incremental::IncrementalGroups::snapshot`]. Triples must be
-    /// in ascending `(property, bucket)` order with non-empty, sorted,
-    /// deduplicated member lists (matching [`GroupSet::build`]'s output
-    /// order).
-    pub fn from_simple_memberships(
-        user_count: usize,
-        triples: Vec<(PropertyId, BucketIdx, Vec<UserId>)>,
-        buckets: PropertyBuckets,
-    ) -> Self {
-        let mut groups = Vec::with_capacity(triples.len());
-        let mut user_groups: Vec<Vec<GroupId>> = vec![Vec::new(); user_count];
-        for (property, bucket, members) in triples {
-            debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
-            debug_assert!(!members.is_empty(), "empty groups are dropped");
-            let gid = GroupId::from_index(groups.len());
-            for &u in &members {
-                user_groups[u.index()].push(gid);
-            }
-            groups.push(SimpleGroup {
-                kind: GroupKind::Simple { property, bucket },
-                members,
-            });
-        }
-        Self {
-            groups,
-            user_groups,
-            buckets,
-        }
-    }
-
-    /// In-place counterpart of [`GroupSet::from_simple_memberships`]:
-    /// rebuilds `self` from borrowed `(property, bucket, members)` triples,
-    /// reusing the existing `groups` and `user_groups` allocations. The
-    /// same preconditions apply — ascending `(property, bucket)` order,
-    /// non-empty sorted deduplicated member lists.
-    ///
-    /// This is the allocation-churn fix for writers that materialize a
-    /// fresh snapshot per published epoch
-    /// ([`crate::incremental::IncrementalGroups::snapshot_into`]): member
-    /// vectors and reverse-link vectors retain their capacity across
-    /// epochs instead of being reallocated from scratch.
-    pub fn assign_simple_memberships<'m>(
-        &mut self,
-        user_count: usize,
-        triples: impl Iterator<Item = (PropertyId, BucketIdx, &'m [UserId])>,
-        buckets: &PropertyBuckets,
-    ) {
-        self.buckets.clone_from(buckets);
-        self.user_groups.truncate(user_count);
-        for links in &mut self.user_groups {
-            links.clear();
-        }
-        self.user_groups.resize_with(user_count, Vec::new);
-        let mut count = 0usize;
-        for (property, bucket, members) in triples {
-            debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
-            debug_assert!(!members.is_empty(), "empty groups are dropped");
-            let gid = GroupId::from_index(count);
-            for &u in members {
-                self.user_groups[u.index()].push(gid);
-            }
-            if let Some(slot) = self.groups.get_mut(count) {
-                slot.kind = GroupKind::Simple { property, bucket };
-                slot.members.clear();
-                slot.members.extend_from_slice(members);
-            } else {
-                self.groups.push(SimpleGroup {
-                    kind: GroupKind::Simple { property, bucket },
-                    members: members.to_vec(),
-                });
-            }
-            count += 1;
-        }
-        self.groups.truncate(count);
-    }
-
-    /// Patches `self` — a group set materialized from an **earlier epoch
-    /// of the same published group universe** — up to the current state:
-    /// `dirty` replaces the member lists of the named group indices and
-    /// `relink` replaces the reverse-link rows of the affected users.
-    /// Everything else (group count, kinds, ordering, unaffected rows,
-    /// bucket definitions) is untouched, which is exactly what makes this
-    /// O(|changed|) where [`GroupSet::assign_simple_memberships`] is
-    /// O(|edges|).
-    ///
-    /// The caller ([`crate::incremental::IncrementalGroups::patch_groups_into`])
-    /// guarantees the universe match; indices out of range panic.
-    pub fn patch_simple_memberships<'m>(
-        &mut self,
-        dirty: impl Iterator<Item = (usize, &'m [UserId])>,
-        relink: impl Iterator<Item = (UserId, Vec<GroupId>)>,
-    ) {
-        for (g, members) in dirty {
-            debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
-            debug_assert!(!members.is_empty(), "empty groups are dropped");
-            let slot = &mut self.groups[g].members;
-            slot.clear();
-            slot.extend_from_slice(members);
-        }
-        for (u, links) in relink {
-            debug_assert!(links.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
-            let row = &mut self.user_groups[u.index()];
-            row.clear();
-            row.extend_from_slice(&links);
-        }
+        Self::from_lists(repo.user_count(), kinds, &lists, Arc::new(buckets.clone()))
     }
 
     /// Builds a group set directly from member lists (tests, synthetic
     /// instances such as the Set-Cover reduction of Proposition 4.1).
-    pub fn from_memberships(user_count: usize, memberships: Vec<Vec<UserId>>) -> Self {
-        let mut groups = Vec::with_capacity(memberships.len());
-        let mut user_groups: Vec<Vec<GroupId>> = vec![Vec::new(); user_count];
-        for (i, mut members) in memberships.into_iter().enumerate() {
+    pub fn from_memberships(user_count: usize, mut memberships: Vec<Vec<UserId>>) -> Self {
+        for members in &mut memberships {
             members.sort();
             members.dedup();
-            let gid = GroupId::from_index(i);
-            for &u in &members {
-                user_groups[u.index()].push(gid);
-            }
-            groups.push(SimpleGroup {
-                kind: GroupKind::Complex {
-                    label: format!("G{i}"),
-                },
-                members,
-            });
         }
+        let kinds = (0..memberships.len())
+            .map(|i| GroupKind::Complex {
+                label: format!("G{i}"),
+            })
+            .collect();
+        Self::from_lists(user_count, kinds, &memberships, Arc::default())
+    }
+
+    /// The set of `kinds[i]` with sorted, deduplicated member list
+    /// `lists[i]`.
+    fn from_lists(
+        user_count: usize,
+        kinds: Vec<GroupKind>,
+        lists: &[Vec<UserId>],
+        buckets: Arc<PropertyBuckets>,
+    ) -> Self {
+        let lists: Vec<&[UserId]> = lists.iter().map(Vec::as_slice).collect();
         Self {
-            groups,
-            user_groups,
-            buckets: PropertyBuckets::default(),
+            kinds,
+            csr: CsrGraph::from_member_lists(user_count, &lists),
+            buckets,
         }
     }
 
     /// Number of groups `|𝒢|`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.kinds.len()
     }
 
     /// Whether the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.kinds.is_empty()
     }
 
     /// Number of users the set was built over.
     #[inline]
     pub fn user_count(&self) -> usize {
-        self.user_groups.len()
+        self.csr.user_count()
+    }
+
+    /// The user ↔ group links as the flat graph the selection kernels
+    /// walk.
+    #[inline]
+    pub fn csr(&self) -> &CsrGraph {
+        &self.csr
     }
 
     /// Borrows a group.
-    pub fn group(&self, g: GroupId) -> Result<&SimpleGroup> {
-        self.groups.get(g.index()).ok_or(CoreError::UnknownGroup(g))
+    pub fn group(&self, g: GroupId) -> Result<Group<'_>> {
+        match self.kinds.get(g.index()) {
+            Some(kind) => Ok(Group {
+                kind,
+                members: self.csr.members_of(g.index()),
+            }),
+            None => Err(CoreError::UnknownGroup(g)),
+        }
     }
 
     /// Iterates over `(id, group)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (GroupId, &SimpleGroup)> {
-        self.groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (GroupId::from_index(i), g))
+    pub fn iter(&self) -> impl Iterator<Item = (GroupId, Group<'_>)> {
+        self.kinds.iter().enumerate().map(|(i, kind)| {
+            let members = self.csr.members_of(i);
+            (GroupId::from_index(i), Group { kind, members })
+        })
     }
 
     /// All group ids.
     pub fn ids(&self) -> impl ExactSizeIterator<Item = GroupId> {
-        (0..self.groups.len()).map(GroupId::from_index)
+        (0..self.kinds.len()).map(GroupId::from_index)
     }
 
-    /// The groups user `u` belongs to (the forward links of §4).
+    /// The groups user `u` belongs to (the forward links of §4),
+    /// ascending; empty for a user outside the set.
     pub fn groups_of(&self, u: UserId) -> &[GroupId] {
-        self.user_groups
-            .get(u.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        if u.index() < self.user_count() {
+            self.csr.groups_of(u.index())
+        } else {
+            &[]
+        }
     }
 
     /// `max_G |G|` — appears in the complexity bound of Proposition 4.4.
     pub fn max_group_size(&self) -> usize {
-        self.groups.iter().map(SimpleGroup::size).max().unwrap_or(0)
+        (0..self.len())
+            .map(|g| self.csr.group_size(g))
+            .max()
+            .unwrap_or(0)
     }
 
     /// `max_u |{G | u ∈ G}|` — the other factor of the complexity bound.
     pub fn max_groups_per_user(&self) -> usize {
-        self.user_groups.iter().map(Vec::len).max().unwrap_or(0)
+        (0..self.user_count())
+            .map(|u| self.csr.user_degree(u))
+            .max()
+            .unwrap_or(0)
     }
 
     /// The bucket that defines simple group `g`, if it is simple.
     pub fn bucket_of_group(&self, g: GroupId) -> Option<&Bucket> {
-        match &self.groups.get(g.index())?.kind {
+        match self.kinds.get(g.index())? {
             GroupKind::Simple { property, bucket } => self.buckets.of(*property).bucket(*bucket),
             GroupKind::Complex { .. } => None,
         }
@@ -327,7 +241,7 @@ impl GroupSet {
     /// A human-readable label for group `g`, combining the property label and
     /// bucket label as §5 prescribes (e.g. `"high avgRating Mexican"`).
     pub fn label(&self, g: GroupId, repo: &UserRepository) -> String {
-        match self.groups.get(g.index()).map(|gr| &gr.kind) {
+        match self.kinds.get(g.index()) {
             Some(GroupKind::Simple { property, bucket }) => {
                 let prop = repo
                     .property_label(*property)
@@ -345,18 +259,17 @@ impl GroupSet {
 
     /// Materializes a complex group from an expression and appends it,
     /// returning its id. The expression is evaluated against the *current*
-    /// groups of the set.
+    /// groups of the set. Rebuilds the link graph (`O(|V| + |E|)`), so it
+    /// belongs to offline set construction, not the serving path.
     pub fn add_complex(&mut self, label: impl Into<String>, expr: &GroupExpr) -> Result<GroupId> {
         let members = expr.evaluate(self)?;
-        let gid = GroupId::from_index(self.groups.len());
-        for &u in &members {
-            self.user_groups[u.index()].push(gid);
-        }
-        self.groups.push(SimpleGroup {
-            kind: GroupKind::Complex {
-                label: label.into(),
-            },
-            members,
+        let gid = GroupId::from_index(self.len());
+        let mut lists: Vec<&[UserId]> = (0..self.len()).map(|g| self.csr.members_of(g)).collect();
+        lists.push(&members);
+        let csr = CsrGraph::from_member_lists(self.user_count(), &lists);
+        self.csr = csr;
+        self.kinds.push(GroupKind::Complex {
+            label: label.into(),
         });
         Ok(gid)
     }
@@ -370,53 +283,40 @@ impl GroupSet {
     /// niche groups shrinks `|𝒢|` (and thus the greedy's update cost)
     /// without materially changing which users cover the population.
     pub fn prune(&self, min_size: usize, max_groups: Option<usize>) -> GroupSet {
-        let mut keep: Vec<GroupId> = self
-            .iter()
-            .filter(|(_, g)| g.size() >= min_size)
-            .map(|(id, _)| id)
+        let mut keep: Vec<usize> = (0..self.len())
+            .filter(|&g| self.csr.group_size(g) >= min_size)
             .collect();
         if let Some(cap) = max_groups {
             if keep.len() > cap {
-                keep.sort_by_key(|&g| (std::cmp::Reverse(self.groups[g.index()].size()), g));
+                keep.sort_by_key(|&g| (std::cmp::Reverse(self.csr.group_size(g)), g));
                 keep.truncate(cap);
                 keep.sort();
             }
         }
-        let mut groups = Vec::with_capacity(keep.len());
-        let mut user_groups: Vec<Vec<GroupId>> = vec![Vec::new(); self.user_count()];
-        for (new_idx, &old) in keep.iter().enumerate() {
-            let g = &self.groups[old.index()];
-            let gid = GroupId::from_index(new_idx);
-            for &u in &g.members {
-                user_groups[u.index()].push(gid);
-            }
-            groups.push(g.clone());
-        }
+        let lists: Vec<&[UserId]> = keep.iter().map(|&g| self.csr.members_of(g)).collect();
         GroupSet {
-            groups,
-            user_groups,
-            buckets: self.buckets.clone(),
+            kinds: keep.iter().map(|&g| self.kinds[g].clone()).collect(),
+            csr: CsrGraph::from_member_lists(self.user_count(), &lists),
+            buckets: Arc::clone(&self.buckets),
         }
     }
 
     /// Finds the simple group for `(property, bucket)` if it is non-empty.
     pub fn find_simple(&self, property: PropertyId, bucket: BucketIdx) -> Option<GroupId> {
-        self.iter()
-            .find(|(_, g)| {
-                matches!(g.kind, GroupKind::Simple { property: p, bucket: b }
-                    if p == property && b == bucket)
-            })
-            .map(|(id, _)| id)
+        let kind = GroupKind::Simple { property, bucket };
+        self.kinds
+            .iter()
+            .position(|k| *k == kind)
+            .map(GroupId::from_index)
     }
 
     /// All simple groups defined over `property` (e.g. all buckets of
     /// `β(livesIn …)`), in bucket order.
     pub fn groups_of_property(&self, property: PropertyId) -> Vec<GroupId> {
-        self.iter()
-            .filter(
-                |(_, g)| matches!(g.kind, GroupKind::Simple { property: p, .. } if p == property),
-            )
-            .map(|(id, _)| id)
+        self.ids()
+            .filter(|g| {
+                matches!(self.kinds[g.index()], GroupKind::Simple { property: p, .. } if p == property)
+            })
             .collect()
     }
 }
@@ -438,7 +338,7 @@ impl GroupExpr {
     /// Evaluates to a sorted member list.
     pub fn evaluate(&self, set: &GroupSet) -> Result<Vec<UserId>> {
         match self {
-            GroupExpr::Group(g) => Ok(set.group(*g)?.members.clone()),
+            GroupExpr::Group(g) => Ok(set.group(*g)?.members.to_vec()),
             GroupExpr::And(parts) => {
                 let mut iter = parts.iter();
                 let mut acc = match iter.next() {
@@ -536,7 +436,7 @@ mod tests {
     fn bidirectional_links_consistent() {
         let (_, groups) = table2_like();
         for (gid, g) in groups.iter() {
-            for &u in &g.members {
+            for &u in g.members {
                 assert!(
                     groups.groups_of(u).contains(&gid),
                     "reverse link missing for {u} in {gid}"
@@ -661,7 +561,7 @@ mod tests {
         assert_eq!(pruned.max_group_size(), 3);
         // Reverse links rebuilt consistently.
         for (gid, g) in pruned.iter() {
-            for &u in &g.members {
+            for &u in g.members {
                 assert!(pruned.groups_of(u).contains(&gid));
             }
         }

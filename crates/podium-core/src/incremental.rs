@@ -11,13 +11,16 @@
 //!   property's bucket groups in `O(log |G_b| + |G_b|)` (sorted-vec
 //!   remove/insert);
 //! * removing a property score removes the membership;
-//! * `snapshot()` materializes a plain [`GroupSet`] (dropping empty
-//!   groups) for the selection algorithms.
+//! * `snapshot()` materializes a [`GroupSet`] (dropping empty groups)
+//!   for the selection algorithms, and `patch_into` brings the previous
+//!   epoch's set up to date by patching only the changed users' links.
 //!
 //! Bucket boundaries themselves stay fixed between re-fits — exactly the
 //! prototype's behavior, where the Grouping Module runs "in an offline
 //! process" (§7) and selection queries arrive online. Re-fit (re-bucket)
 //! when score distributions drift materially.
+
+use std::sync::Arc;
 
 use crate::bucket::PropertyBuckets;
 use crate::engine::CsrGraph;
@@ -92,12 +95,15 @@ impl EpochDelta {
 /// Bucketed group structure maintained under point updates.
 #[derive(Debug, Clone)]
 pub struct IncrementalGroups {
-    buckets: PropertyBuckets,
+    /// Fixed between re-fits; every snapshot shares it.
+    buckets: Arc<PropertyBuckets>,
     /// `slots[p][b]` = sorted member list of `G_{p,b}` (possibly empty —
     /// unlike [`GroupSet`], empty slots persist so ids stay stable).
     slots: Vec<Vec<Vec<UserId>>>,
-    /// Current bucket of each (user, property) membership:
-    /// `current[u]` is a sorted list of `(property, bucket)`.
+    /// Current bucket of each (user, property) membership: `current[u]`
+    /// lists `(property, bucket)` pairs in insertion order (`update_score`
+    /// appends), so a row is not sorted; the patch path sorts the mapped
+    /// group ranks.
     current: Vec<Vec<(PropertyId, BucketIdx)>>,
     user_count: usize,
     /// Structural changes since the last [`IncrementalGroups::take_delta`].
@@ -120,7 +126,7 @@ impl IncrementalGroups {
             }
         }
         Self {
-            buckets: buckets.clone(),
+            buckets: Arc::new(buckets.clone()),
             slots,
             current,
             user_count: repo.user_count(),
@@ -219,64 +225,36 @@ impl IncrementalGroups {
     /// for the selection algorithms. Group labeling and ordering match
     /// [`GroupSet::build`] on an equivalent repository.
     pub fn snapshot(&self) -> GroupSet {
-        let mut triples = Vec::new();
-        for (p, buckets) in self.slots.iter().enumerate() {
-            for (b, members) in buckets.iter().enumerate() {
-                if !members.is_empty() {
-                    triples.push((
-                        PropertyId::from_index(p),
-                        BucketIdx::from_index(b),
-                        members.clone(),
-                    ));
-                }
-            }
-        }
-        GroupSet::from_simple_memberships(self.user_count, triples, self.buckets.clone())
-    }
-
-    /// In-place variant of [`IncrementalGroups::snapshot`]: rebuilds `out`
-    /// from the current slots, reusing its member-vector and reverse-link
-    /// allocations. A writer that publishes one snapshot per epoch calls
-    /// this with the group set it is about to publish (or a recycled
-    /// retired one) instead of paying a full from-scratch rebuild when only
-    /// a few slots changed. The result compares group-for-group equal to
-    /// what [`IncrementalGroups::snapshot`] returns.
-    pub fn snapshot_into(&self, out: &mut GroupSet) {
-        let triples = self.slots.iter().enumerate().flat_map(|(p, buckets)| {
-            buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, members)| !members.is_empty())
-                .map(move |(b, members)| {
-                    (
-                        PropertyId::from_index(p),
-                        BucketIdx::from_index(b),
-                        members.as_slice(),
-                    )
-                })
-        });
-        out.assign_simple_memberships(self.user_count, triples, &self.buckets);
-    }
-
-    /// Materializes the CSR adjacency of the current non-empty groups
-    /// directly from the maintained slots — same group ordering as
-    /// [`IncrementalGroups::snapshot`], without cloning the member lists
-    /// into an intermediate [`GroupSet`]. Pair it with a snapshot taken at
-    /// the same time when calling the prebuilt-CSR entry points
-    /// ([`crate::engine::eager_select_deadline`],
-    /// [`crate::engine::lazy_select_csr`]).
-    pub fn snapshot_csr(&self) -> CsrGraph {
-        let mut out = CsrGraph::default();
-        self.snapshot_csr_into(&mut out);
+        let mut out = GroupSet::default();
+        self.snapshot_into(&mut out);
         out
     }
 
-    /// In-place variant of [`IncrementalGroups::snapshot_csr`]: overwrites
-    /// `out` with the CSR of the current non-empty groups, reusing its
-    /// buffers. The full-rebuild fallback of the publish path.
-    pub fn snapshot_csr_into(&self, out: &mut CsrGraph) {
-        let lists = self.non_empty_lists();
-        out.assign_from_member_lists(self.user_count, &lists);
+    /// In-place variant of [`IncrementalGroups::snapshot`]: overwrites
+    /// `out` with the current non-empty groups, reusing its kind and graph
+    /// buffers. The full-rebuild path of the publish (`O(|V| + |E|)`); the
+    /// result equals what [`IncrementalGroups::snapshot`] returns.
+    pub fn snapshot_into(&self, out: &mut GroupSet) {
+        out.kinds.clear();
+        for (p, buckets) in self.slots.iter().enumerate() {
+            for (b, members) in buckets.iter().enumerate() {
+                if !members.is_empty() {
+                    out.kinds.push(GroupKind::Simple {
+                        property: PropertyId::from_index(p),
+                        bucket: BucketIdx::from_index(b),
+                    });
+                }
+            }
+        }
+        out.buckets = Arc::clone(&self.buckets);
+        out.csr
+            .assign_from_member_lists(self.user_count, &self.non_empty_lists());
+    }
+
+    /// The link graph of [`IncrementalGroups::snapshot`] alone, built
+    /// directly from the maintained slots.
+    pub fn snapshot_csr(&self) -> CsrGraph {
+        CsrGraph::from_member_lists(self.user_count, &self.non_empty_lists())
     }
 
     /// Patches `out` into the CSR of the current state using `base` — the
@@ -285,8 +263,7 @@ impl IncrementalGroups {
     /// delta). Per-edge work is spent only on the delta's changed users;
     /// everything else is a bulk copy of `base`. Returns `false`, leaving
     /// `out` untouched, when the delta is not [`EpochDelta::patchable`] or
-    /// `base` does not match the expected previous shape — the caller then
-    /// falls back to [`IncrementalGroups::snapshot_csr_into`].
+    /// `base` does not match the expected previous shape.
     ///
     /// The patched graph is bit-identical to what `snapshot_csr` builds
     /// from scratch.
@@ -301,93 +278,37 @@ impl IncrementalGroups {
         // Under a patchable delta every slot a changed user belongs to is
         // non-empty (it contains them), so its published rank is defined.
         let ranks = self.slot_ranks();
-        let changed: Vec<(u32, Vec<u32>)> = delta
+        let changed: Vec<(UserId, Vec<GroupId>)> = delta
             .changed_users
             .iter()
             .map(|&u| {
-                let mut row: Vec<u32> = self.current[u.index()]
+                let mut row: Vec<GroupId> = self.current[u.index()]
                     .iter()
-                    .map(|&(p, b)| ranks[p.index()][b.index()])
+                    .map(|&(p, b)| GroupId(ranks[p.index()][b.index()]))
                     .collect();
                 row.sort_unstable();
-                (u.0, row)
+                (u, row)
             })
             .collect();
         out.patch_from(base, &lists, &changed);
         true
     }
 
-    /// Patches `out` — a [`GroupSet`] materialized from an **earlier
-    /// epoch of the same published group universe** — up to the current
-    /// state. `dirty_slots` must be the ascending, deduplicated union of
-    /// the dirty slots of every epoch delta between `out`'s epoch and
-    /// now, and each of those deltas must have been
-    /// [`EpochDelta::patchable`] (so group ids and the user universe are
-    /// stable across the whole span). Work is O(members of dirty slots),
-    /// not O(edges): only the dirty member lists and the reverse links of
-    /// users appearing in them (old or new) are rewritten.
-    ///
-    /// Returns `false`, leaving `out` untouched, when the cheap structural
-    /// preconditions do not hold (user count, group count, or a dirty
-    /// slot's identity/rank mismatch) — the caller then falls back to
-    /// [`IncrementalGroups::snapshot_into`]. The patched set compares
-    /// group-for-group and link-for-link equal to a from-scratch snapshot.
-    pub fn patch_groups_into(
-        &self,
-        dirty_slots: &[(PropertyId, BucketIdx)],
-        out: &mut GroupSet,
-    ) -> bool {
-        if out.user_count() != self.user_count {
+    /// Patches `out` — any recycled group set — into the current state,
+    /// using `prev`, the set as of the last
+    /// [`IncrementalGroups::take_delta`], as the base: the link graph goes
+    /// through [`IncrementalGroups::patch_csr_into`], and the group kinds
+    /// and bucket definitions are copied from `prev` (a patchable delta
+    /// keeps both). Returns `false`, leaving `out` untouched, when the
+    /// graph patch refuses; the caller then falls back to
+    /// [`IncrementalGroups::snapshot_into`]. The result equals what
+    /// [`IncrementalGroups::snapshot`] returns.
+    pub fn patch_into(&self, delta: &EpochDelta, prev: &GroupSet, out: &mut GroupSet) -> bool {
+        if !self.patch_csr_into(delta, &prev.csr, &mut out.csr) {
             return false;
         }
-        let ranks = self.slot_ranks();
-        let group_count = self
-            .slots
-            .iter()
-            .flat_map(|buckets| buckets.iter())
-            .filter(|members| !members.is_empty())
-            .count();
-        if out.len() != group_count {
-            return false;
-        }
-        let mut dirty_ranked: Vec<(usize, &[UserId])> = Vec::with_capacity(dirty_slots.len());
-        let mut affected: Vec<UserId> = Vec::new();
-        for &(p, b) in dirty_slots {
-            let Some(&rank) = ranks.get(p.index()).and_then(|r| r.get(b.index())) else {
-                return false;
-            };
-            if rank == u32::MAX {
-                // A dirty slot that is empty now crossed the universe
-                // boundary at some point — the span was not patchable.
-                return false;
-            }
-            let members = self.slots[p.index()][b.index()].as_slice();
-            let Ok(old) = out.group(GroupId(rank)) else {
-                return false;
-            };
-            if old.kind
-                != (GroupKind::Simple {
-                    property: p,
-                    bucket: b,
-                })
-            {
-                return false;
-            }
-            affected.extend_from_slice(&old.members);
-            affected.extend_from_slice(members);
-            dirty_ranked.push((GroupId(rank).index(), members));
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        let relink = affected.iter().map(|&u| {
-            let mut row: Vec<GroupId> = self.current[u.index()]
-                .iter()
-                .map(|&(p, b)| GroupId(ranks[p.index()][b.index()]))
-                .collect();
-            row.sort_unstable();
-            (u, row)
-        });
-        out.patch_simple_memberships(dirty_ranked.iter().copied(), relink);
+        out.kinds.clone_from(&prev.kinds);
+        out.buckets = Arc::clone(&prev.buckets);
         true
     }
 
@@ -618,23 +539,9 @@ mod tests {
     #[test]
     fn snapshot_into_matches_snapshot() {
         let (repo, _, mut inc) = setup();
-        let assert_same = |inc: &IncrementalGroups, out: &GroupSet| {
-            let fresh = inc.snapshot();
-            assert_eq!(out.len(), fresh.len(), "group counts");
-            assert_eq!(out.user_count(), fresh.user_count());
-            for ((ga, a), (_, b)) in out.iter().zip(fresh.iter()) {
-                assert_eq!(a.kind, b.kind, "kind of {ga}");
-                assert_eq!(a.members, b.members, "members of {ga}");
-            }
-            for u in 0..fresh.user_count() {
-                let u = UserId::from_index(u);
-                assert_eq!(out.groups_of(u), fresh.groups_of(u), "links of {u}");
-            }
-        };
-
         let mut out = GroupSet::default();
         inc.snapshot_into(&mut out);
-        assert_same(&inc, &out);
+        assert_eq!(out, inc.snapshot());
 
         // Mutate: move Bob between buckets, add a user, drop a score, and
         // reuse the previously-populated target.
@@ -647,111 +554,46 @@ mod tests {
         let frank = inc.add_user();
         inc.update_score(frank, mex, Some(0.15));
         inc.snapshot_into(&mut out);
-        assert_same(&inc, &out);
+        assert_eq!(out, inc.snapshot());
+        assert_eq!(out.csr(), &inc.snapshot_csr());
 
         // Shrink back below the reused target's size.
         inc.update_score(frank, mex, None);
         inc.update_score(bob, mex, None);
         inc.snapshot_into(&mut out);
-        assert_same(&inc, &out);
+        assert_eq!(out, inc.snapshot());
     }
 
-    /// Full structural equality against a from-scratch snapshot: groups,
-    /// kinds, members, and every reverse-link row.
-    fn assert_same_set(inc: &IncrementalGroups, out: &GroupSet) {
-        let fresh = inc.snapshot();
-        assert_eq!(out.len(), fresh.len(), "group counts");
-        assert_eq!(out.user_count(), fresh.user_count());
-        for ((ga, a), (_, b)) in out.iter().zip(fresh.iter()) {
-            assert_eq!(a.kind, b.kind, "kind of {ga}");
-            assert_eq!(a.members, b.members, "members of {ga}");
-        }
-        for u in 0..fresh.user_count() {
-            let u = UserId::from_index(u);
-            assert_eq!(out.groups_of(u), fresh.groups_of(u), "links of {u}");
-        }
-    }
-
+    /// `patch_into` catches any recycled set — here an empty one and one
+    /// from an older, differently-shaped universe — up to the current
+    /// state from the previous epoch's set, and refuses unpatchable deltas
+    /// without touching its target.
     #[test]
-    fn patch_groups_matches_from_scratch_snapshot() {
+    fn patch_into_matches_from_scratch_snapshot() {
         let (repo, _, mut inc) = setup();
         let carol = repo.user_by_name("Carol").unwrap();
         let david = repo.user_by_name("David").unwrap();
         let vfc = repo.property_id("visitFreq CheapEats").unwrap();
         let vfm = repo.property_id("visitFreq Mexican").unwrap();
+        let older = GroupSet::from_memberships(2, vec![vec![UserId(1)]]);
 
-        // The stale buffer is TWO patchable epochs behind: the patch has
-        // to catch it up through the union of both deltas' dirty slots.
-        let mut stale = inc.snapshot();
+        let prev = inc.snapshot();
         inc.update_score(carol, vfc, Some(0.9));
-        let d1 = inc.take_delta();
-        assert!(d1.patchable());
         inc.update_score(david, vfm, Some(0.7));
-        inc.update_score(carol, vfc, Some(0.15));
-        let d2 = inc.take_delta();
-        assert!(d2.patchable());
-
-        let mut union: Vec<_> = d1
-            .dirty_slots()
-            .iter()
-            .chain(d2.dirty_slots())
-            .copied()
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        assert!(inc.patch_groups_into(&union, &mut stale));
-        assert_same_set(&inc, &stale);
-
-        // An empty union over an up-to-date buffer is the identity.
-        assert!(inc.patch_groups_into(&[], &mut stale));
-        assert_same_set(&inc, &stale);
-    }
-
-    #[test]
-    fn patch_groups_refuses_structural_mismatches() {
-        let (repo, _, mut inc) = setup();
-        let bob = repo.user_by_name("Bob").unwrap();
-        let mex = repo.property_id("avgRating Mexican").unwrap();
-
-        // User-count mismatch: a buffer from before a user was added.
-        let mut stale = inc.snapshot();
-        let frank = inc.add_user();
-        inc.update_score(frank, mex, Some(0.2));
         let delta = inc.take_delta();
-        assert!(!delta.patchable());
-        let before = stale.clone();
-        assert!(!inc.patch_groups_into(delta.dirty_slots(), &mut stale));
-        assert_eq!(
-            stale.len(),
-            before.len(),
-            "refused patch leaves out untouched"
-        );
-
-        // Group-count mismatch: the universe gained a slot.
-        let mut stale = inc.snapshot();
-        inc.update_score(bob, mex, None);
-        let delta = inc.take_delta();
-        if delta.patchable() {
-            // Bob shared his bucket, so the universe kept its shape and
-            // the patch goes through; dirty a slot that is now empty to
-            // exercise the rank guard instead.
-            assert!(inc.patch_groups_into(delta.dirty_slots(), &mut stale));
-        } else {
-            assert!(!inc.patch_groups_into(delta.dirty_slots(), &mut stale));
+        assert!(delta.patchable());
+        for mut out in [GroupSet::default(), older.clone()] {
+            assert!(inc.patch_into(&delta, &prev, &mut out));
+            assert_eq!(out, inc.snapshot(), "patch == from-scratch");
         }
-    }
 
-    #[test]
-    fn snapshot_csr_matches_snapshot_group_set() {
-        let (repo, _, mut inc) = setup();
-        let bob = repo.user_by_name("Bob").unwrap();
-        let mex = repo.property_id("avgRating Mexican").unwrap();
-        inc.update_score(bob, mex, Some(0.9));
-        let frank = inc.add_user();
-        inc.update_score(frank, mex, Some(0.2));
-        let direct = inc.snapshot_csr();
-        let via_set = CsrGraph::from_group_set(&inc.snapshot());
-        assert_eq!(direct, via_set);
+        // Unpatchable: a new user shifts the user universe.
+        let prev = inc.snapshot();
+        inc.add_user();
+        let delta = inc.take_delta();
+        let mut out = older.clone();
+        assert!(!inc.patch_into(&delta, &prev, &mut out));
+        assert_eq!(out, older, "refused patch leaves out untouched");
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::exact::exact_select;
     pub use crate::explain::{explain_group, explain_subset_group, explain_user, SelectionReport};
     pub use crate::greedy::{greedy_select, Selection};
-    pub use crate::group::{GroupExpr, GroupSet, SimpleGroup};
+    pub use crate::group::{Group, GroupExpr, GroupSet};
     pub use crate::ids::{BucketIdx, GroupId, PropertyId, UserId};
     pub use crate::instance::DiversificationInstance;
     pub use crate::pipeline::{FittedPodium, Podium};

@@ -12,7 +12,6 @@
 //! variant trades a provably small amount of score for near-constant
 //! per-round work.
 
-use crate::engine::CsrGraph;
 use crate::greedy::Selection;
 use crate::instance::DiversificationInstance;
 use crate::score::ScoreValue;
@@ -29,8 +28,7 @@ pub fn stochastic_greedy_select<W: ScoreValue>(
     epsilon: f64,
     seed: u64,
 ) -> Selection<W> {
-    let csr = CsrGraph::from_group_set(inst.groups());
-    crate::engine::stochastic_select(inst, &csr, b, epsilon, seed)
+    crate::engine::stochastic_select(inst, inst.groups().csr(), b, epsilon, seed)
 }
 
 #[cfg(test)]

@@ -210,10 +210,8 @@ mod tests {
         let resolved = cfg.resolve(&repo, &buckets).unwrap();
         let base = resolved.weights.weights(&resolved.groups);
         let covs = resolved.cov.cov(&resolved.groups, cfg.budget);
-        let csr = podium_core::engine::CsrGraph::from_group_set(&resolved.groups);
         let (sel, pool, _) = custom_select_weighted(
             &resolved.groups,
-            &csr,
             &base,
             &covs,
             cfg.budget,

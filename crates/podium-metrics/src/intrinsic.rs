@@ -1,7 +1,7 @@
 //! Intrinsic diversity metrics (§8.2): how well the selected subset
 //! represents the source population, judged from profiles alone.
 
-use podium_core::group::{GroupSet, SimpleGroup};
+use podium_core::group::{Group, GroupSet};
 use podium_core::ids::{GroupId, UserId};
 use podium_core::instance::DiversificationInstance;
 use podium_core::score::ScoreValue;
@@ -49,11 +49,11 @@ fn selected_mask(groups: &GroupSet, selection: &[UserId]) -> Vec<bool> {
     mask
 }
 
-fn covered(group: &SimpleGroup, mask: &[bool]) -> bool {
+fn covered(group: Group<'_>, mask: &[bool]) -> bool {
     group.members.iter().any(|&u| mask[u.index()])
 }
 
-fn selected_count(group: &SimpleGroup, mask: &[bool]) -> usize {
+fn selected_count(group: Group<'_>, mask: &[bool]) -> usize {
     group.members.iter().filter(|&&u| mask[u.index()]).count()
 }
 
@@ -114,7 +114,7 @@ pub fn intersected_coverage(groups: &GroupSet, selection: &[UserId], k: usize) -
         let gi = groups.group(candidates[i]).expect("listed id");
         for gj_id in &candidates[(i + 1)..] {
             let gj = groups.group(*gj_id).expect("listed id");
-            let inter = podium_core::group::intersect_sorted(&gi.members, &gj.members);
+            let inter = podium_core::group::intersect_sorted(gi.members, gj.members);
             if inter.len() < threshold {
                 continue;
             }

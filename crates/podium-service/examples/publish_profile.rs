@@ -4,6 +4,7 @@
 use std::time::Instant;
 
 use podium_core::bucket::BucketingConfig;
+use podium_core::ids::{PropertyId, UserId};
 use podium_core::incremental::IncrementalGroups;
 use podium_core::weights::WeightScheme;
 use podium_service::bench::synthetic_repository;
@@ -14,10 +15,10 @@ fn main() {
     let repo = synthetic_repository(n, 32, 6, 0x5EED_0001);
     let buckets = BucketingConfig::paper_default().bucketize(&repo);
 
-    // Component timings.
-    let inc = IncrementalGroups::build(&repo, &buckets);
+    // Component timings: the two ways a publish produces its group set.
+    let mut inc = IncrementalGroups::build(&repo, &buckets);
+    let prev = inc.snapshot();
     let mut groups = inc.snapshot();
-    let mut csr = inc.snapshot_csr();
     let mut repo2 = repo.clone();
     let rounds = 200u32;
     let t = Instant::now();
@@ -25,15 +26,22 @@ fn main() {
         inc.snapshot_into(&mut groups);
     }
     println!(
-        "snapshot_into(groups): {:.1} us",
+        "snapshot_into:         {:.1} us",
         t.elapsed().as_secs_f64() * 1e6 / f64::from(rounds)
     );
+    for i in 0..16u32 {
+        let score = f64::from(i % 10) / 10.0 + 0.05;
+        inc.update_score(UserId(i * 613), PropertyId(i % 32), Some(score));
+    }
+    let delta = inc.take_delta();
     let t = Instant::now();
+    let mut patched = true;
     for _ in 0..rounds {
-        inc.snapshot_csr_into(&mut csr);
+        patched &= inc.patch_into(&delta, &prev, &mut groups);
     }
     println!(
-        "snapshot_csr_into:     {:.1} us",
+        "patch_into ({} users): {:.1} us (patched {patched})",
+        delta.changed_users().len(),
         t.elapsed().as_secs_f64() * 1e6 / f64::from(rounds)
     );
     let t = Instant::now();

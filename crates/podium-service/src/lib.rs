@@ -8,7 +8,7 @@
 //! library into that online system:
 //!
 //! * [`snapshot`] — epoch-numbered, immutable [`snapshot::Snapshot`]s
-//!   bundling the repository, its group set, and a prebuilt CSR graph,
+//!   bundling the repository and its group set (with its CSR graph),
 //!   published via atomic `Arc` swap by a single
 //!   [`snapshot::RepositoryWriter`] that applies profile updates through
 //!   [`podium_core::incremental::IncrementalGroups`];

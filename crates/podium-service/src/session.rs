@@ -105,8 +105,8 @@ impl Session {
         Ok(())
     }
 
-    /// Merges `delta` and re-runs CUSTOM-DIVERSITY on the pinned snapshot,
-    /// against its prebuilt CSR graph.
+    /// Merges `delta` and re-runs CUSTOM-DIVERSITY on the pinned snapshot's
+    /// group set, walking its link graph in place.
     pub fn refine(
         &mut self,
         delta: &FeedbackDelta,
@@ -118,15 +118,9 @@ impl Session {
         let groups = self.snapshot.groups();
         let base = weight.weights(groups);
         let covs = cov.cov(groups, budget);
-        let (selection, pool_size, feedback_group_coverage) = custom_select_weighted(
-            groups,
-            self.snapshot.csr(),
-            &base,
-            &covs,
-            budget,
-            &self.feedback,
-        )
-        .map_err(ServiceError::Core)?;
+        let (selection, pool_size, feedback_group_coverage) =
+            custom_select_weighted(groups, &base, &covs, budget, &self.feedback)
+                .map_err(ServiceError::Core)?;
         Ok(CustomSelection {
             selection,
             pool_size,
@@ -213,10 +207,16 @@ mod tests {
     use super::*;
     use crate::snapshot::{ProfileUpdate, RepositoryWriter};
     use podium_core::bucket::BucketingConfig;
-    use podium_core::engine::CsrGraph;
+    use podium_core::group::GroupSet;
     use podium_core::profile::UserRepository;
 
     fn store_and_writer() -> (Arc<SnapshotStore>, RepositoryWriter) {
+        let repo = seed_repo();
+        let buckets = BucketingConfig::paper_default().bucketize(&repo);
+        RepositoryWriter::new(repo, &buckets)
+    }
+
+    fn seed_repo() -> UserRepository {
         let mut repo = UserRepository::new();
         let mex = repo.intern_property("avgRating Mexican");
         let thai = repo.intern_property("avgRating Thai");
@@ -227,8 +227,7 @@ mod tests {
                 repo.set_score(u, thai, 0.9).unwrap();
             }
         }
-        let buckets = BucketingConfig::paper_default().bucketize(&repo);
-        RepositoryWriter::new(repo, &buckets)
+        repo
     }
 
     #[test]
@@ -383,9 +382,9 @@ mod tests {
         .unwrap();
     }
 
-    /// `refine` runs on the pinned snapshot's CSR, which incremental
-    /// publishing patched in place; its answers must equal a run on a
-    /// CSR freshly built from the same groups.
+    /// `refine` runs on the pinned snapshot's group set, whose links
+    /// incremental publishing patched in place; its answers must equal a
+    /// run on a group set freshly built from the pinned repository.
     #[test]
     fn refine_on_patched_csr_matches_a_fresh_build() {
         let (store, mut w) = store_and_writer();
@@ -429,12 +428,13 @@ mod tests {
         for delta in &deltas {
             mgr.with_session(id, |s| {
                 let served = s.refine(delta, weight, cov, budget)?;
-                let groups = s.snapshot().groups();
-                let fresh = CsrGraph::from_group_set(groups);
-                let base = weight.weights(groups);
-                let covs = cov.cov(groups, budget);
+                let buckets = BucketingConfig::paper_default().bucketize(&seed_repo());
+                let fresh = GroupSet::build(s.snapshot().repo(), &buckets);
+                assert_eq!(&fresh, s.snapshot().groups());
+                let base = weight.weights(&fresh);
+                let covs = cov.cov(&fresh, budget);
                 let (selection, pool_size, coverage) =
-                    custom_select_weighted(groups, &fresh, &base, &covs, budget, s.feedback())
+                    custom_select_weighted(&fresh, &base, &covs, budget, s.feedback())
                         .map_err(ServiceError::Core)?;
                 assert!(!served.users().is_empty());
                 // Users, gains, score and covered counts, bit for bit.

@@ -2,18 +2,20 @@
 //! writer, read lock-free-ish by many selectors.
 //!
 //! A [`Snapshot`] freezes everything a selection needs — the repository
-//! (for names and explanations), the [`GroupSet`], and the prebuilt
-//! [`CsrGraph`] — under one epoch number. Readers clone an
+//! (for names and explanations) and the [`GroupSet`], whose [`CsrGraph`]
+//! the kernels walk in place — under one epoch number. Readers clone an
 //! `Arc<Snapshot>` out of the [`SnapshotStore`] and work against it for
 //! the rest of the request, so a concurrently published epoch never
 //! changes data under a running selection.
 //!
 //! The [`RepositoryWriter`] is the only mutator. It applies profile
 //! updates through [`IncrementalGroups`] (point updates, §9's "incorporate
-//! data updates" scenario), then materializes the next snapshot with
-//! [`IncrementalGroups::snapshot_into`] — recycling the group-set
-//! allocations of retired epochs whose readers have all finished — and
-//! swaps it into the store. Selection hot paths never wait on the writer;
+//! data updates" scenario), then materializes the next snapshot's group
+//! set on the buffers of a retired epoch whose readers have all finished:
+//! [`IncrementalGroups::patch_into`] patches the previous epoch's links
+//! for the changed users only, and [`IncrementalGroups::snapshot_into`]
+//! rebuilds them when the group universe changed shape. The writer then
+//! swaps the snapshot into the store. Selection hot paths never wait on the writer;
 //! the store's `RwLock` is held only for the duration of an `Arc` clone.
 
 use std::collections::VecDeque;
@@ -28,8 +30,8 @@ use podium_core::engine::{
 };
 use podium_core::greedy::Selection;
 use podium_core::group::GroupSet;
-use podium_core::ids::{BucketIdx, PropertyId, UserId};
-use podium_core::incremental::{EpochDelta, IncrementalGroups};
+use podium_core::ids::{PropertyId, UserId};
+use podium_core::incremental::IncrementalGroups;
 use podium_core::instance::DiversificationInstance;
 use podium_core::profile::UserRepository;
 use podium_core::weights::{CovScheme, WeightScheme};
@@ -123,11 +125,12 @@ pub struct EpochBuildStats {
     /// Updates applied since the previous publish (the batch this epoch
     /// absorbed).
     pub publish_batch_size: u64,
-    /// Microseconds spent patching the previous CSR in place; `0` when
-    /// this epoch's CSR was fully rebuilt.
+    /// Microseconds spent patching the previous epoch's group set (its
+    /// CSR links) onto a recycled buffer; `0` when this epoch's set was
+    /// fully rebuilt.
     pub csr_patch_micros: u64,
-    /// Microseconds spent rebuilding the CSR from scratch; `0` when this
-    /// epoch's CSR was patched.
+    /// Microseconds spent rebuilding the group set from scratch; `0` when
+    /// this epoch's set was patched.
     pub full_rebuild_micros: u64,
     /// Memoized selects carried forward into this epoch.
     pub memos_carried: u64,
@@ -135,12 +138,8 @@ pub struct EpochBuildStats {
     pub memos_invalidated: u64,
     /// Microseconds from publish start until the snapshot was assembled.
     pub publish_micros: u64,
-    /// Whether the CSR patch path ran (vs the full-rebuild fallback).
+    /// Whether the patch path ran (vs the full-rebuild fallback).
     pub patched: bool,
-    /// Whether the group set was patched in place on a recycled buffer
-    /// through the dirty-slot union of the epochs it was behind (vs the
-    /// full O(edges) rebuild).
-    pub groups_patched: bool,
     /// Whether the repository copy was produced by replaying the logged
     /// update batches onto a recycled copy (vs a full O(users) copy).
     pub repo_replayed: bool,
@@ -222,7 +221,6 @@ pub struct Snapshot {
     epoch: u64,
     repo: UserRepository,
     groups: GroupSet,
-    csr: CsrGraph,
     /// Prebuilt LBS weight vector — the experimental default scheme, so
     /// the per-request cost is one memcpy instead of a group scan.
     lbs_weights: Vec<f64>,
@@ -255,7 +253,6 @@ const SELECT_CACHE_CAP: usize = 16;
 struct SnapshotParts {
     repo: UserRepository,
     groups: GroupSet,
-    csr: CsrGraph,
     carried: Vec<(SelectParams, SelectOutcome)>,
     build: EpochBuildStats,
 }
@@ -267,7 +264,6 @@ impl Snapshot {
             epoch,
             repo: parts.repo,
             groups: parts.groups,
-            csr: parts.csr,
             lbs_weights,
             select_cache: Mutex::new(Vec::new()),
             carried: parts.carried,
@@ -294,9 +290,9 @@ impl Snapshot {
         &self.groups
     }
 
-    /// The prebuilt CSR adjacency of [`Snapshot::groups`].
+    /// The CSR adjacency of [`Snapshot::groups`].
     pub fn csr(&self) -> &CsrGraph {
-        &self.csr
+        self.groups.csr()
     }
 
     /// Builds the weight vector for `scheme` — prebuilt for LBS.
@@ -307,7 +303,7 @@ impl Snapshot {
         }
     }
 
-    /// Runs eager greedy (Algorithm 1) against the prebuilt CSR graph,
+    /// Runs eager greedy (Algorithm 1) against the group set's CSR graph,
     /// checking `deadline` between greedy rounds. A deadline hit maps to
     /// [`ServiceError::DeadlineExceeded`]; the partial prefix is discarded.
     pub fn select(
@@ -359,7 +355,7 @@ impl Snapshot {
         let covs = params.cov.cov(&self.groups, params.budget);
         let inst = DiversificationInstance::new(&self.groups, weights, covs);
         let (selection, completed) =
-            eager_select_deadline(&inst, &self.csr, params.budget, &mut |_| {
+            eager_select_deadline(&inst, self.csr(), params.budget, &mut |_| {
                 deadline.is_some_and(|d| Instant::now() >= d)
             });
         if !completed {
@@ -424,14 +420,14 @@ impl Snapshot {
         let covs = params.cov.cov(&self.groups, params.budget);
         let inst = DiversificationInstance::new(&self.groups, weights, covs);
         let greedy =
-            constrained_eager_select(&inst, &self.csr, params.budget, &quotas).map_err(|e| {
+            constrained_eager_select(&inst, self.csr(), params.budget, &quotas).map_err(|e| {
                 ServiceError::Infeasible {
                     group: e.group,
                     reason: e.reason,
                 }
             })?;
         let selection = match &constraints.anneal {
-            Some(schedule) => anneal_refine(&inst, &self.csr, &quotas, &greedy, schedule),
+            Some(schedule) => anneal_refine(&inst, self.csr(), &quotas, &greedy, schedule),
             None => greedy,
         };
         let names = self.user_names(&selection.users);
@@ -600,9 +596,9 @@ pub struct RepositoryWriter {
     /// The pending batch outgrew [`UPDATE_LOG_CAP`]; its log was dropped
     /// and the next publish falls back to the full repository copy.
     pending_log_overflow: bool,
-    /// Per-epoch publish records (dirty slots + update log), newest last,
-    /// kept while a recycled or still-retired buffer might need the span
-    /// to be patched or replayed up to the current state.
+    /// Per-epoch publish records (the update log), newest last, kept while
+    /// a recycled or still-retired repository copy might need the span
+    /// replayed up to the current state.
     history: VecDeque<PublishRecord>,
     stats: PublishStats,
 }
@@ -610,11 +606,10 @@ pub struct RepositoryWriter {
 /// Reusable buffers reclaimed from a retired snapshot.
 #[derive(Debug, Default)]
 struct RecycledParts {
-    /// Epoch the buffers were published at — the base the group-set patch
-    /// and repository replay catch up from. `None` for fresh buffers.
+    /// Epoch the buffers were published at — the base the repository
+    /// replay catches up from. `None` for fresh buffers.
     epoch: Option<u64>,
     groups: GroupSet,
-    csr: CsrGraph,
     repo: UserRepository,
 }
 
@@ -630,14 +625,11 @@ struct LoggedUpdate {
     created: Option<String>,
 }
 
-/// What one published epoch changed — enough to catch a buffer that is
-/// several epochs stale up to the present.
+/// What one published epoch changed — enough to catch a repository copy
+/// that is several epochs stale up to the present.
 #[derive(Debug)]
 struct PublishRecord {
     epoch: u64,
-    /// Whether the epoch's delta kept the published group universe stable.
-    patchable: bool,
-    dirty_slots: Vec<(PropertyId, BucketIdx)>,
     /// The epoch's update batch; `None` when it overflowed the log cap.
     updates: Option<Vec<LoggedUpdate>>,
 }
@@ -676,14 +668,11 @@ impl RepositoryWriter {
         mode: PublishMode,
     ) -> (Arc<SnapshotStore>, Self) {
         let inc = IncrementalGroups::build(&repo, buckets);
-        let groups = inc.snapshot();
-        let csr = inc.snapshot_csr();
         let snap = Arc::new(Snapshot::assemble(
             0,
             SnapshotParts {
                 repo: repo.clone(),
-                groups,
-                csr,
+                groups: inc.snapshot(),
                 carried: Vec::new(),
                 build: EpochBuildStats::default(),
             },
@@ -861,8 +850,9 @@ impl RepositoryWriter {
     /// changes still bumps the epoch (callers use it as a sync barrier).
     ///
     /// In [`PublishMode::Incremental`] the epoch is built from the batch's
-    /// [`EpochDelta`]: the CSR is patched in place on a recycled buffer
-    /// (falling back to a rebuild when the group universe changed shape),
+    /// [`podium_core::incremental::EpochDelta`]: the previous epoch's group
+    /// set is patched onto a recycled buffer (falling back to a rebuild
+    /// when the group universe changed shape),
     /// the repository copy reuses a retired epoch's allocations, and
     /// memoized selects covering no dirty group are carried forward with
     /// their certified score lower bound.
@@ -886,29 +876,18 @@ impl RepositoryWriter {
         };
         let incremental = self.mode == PublishMode::Incremental;
 
-        // Group set: catch the recycled buffer up through the dirty-slot
-        // union of every epoch it is behind; fall back to the full
-        // O(edges) rebuild when the span is unpatchable or unknown.
-        let base_epoch = parts.epoch;
-        let groups_union = if incremental {
-            base_epoch.and_then(|e| self.dirty_union_since(e, &delta))
-        } else {
-            None
-        };
-        build.groups_patched = groups_union
-            .as_deref()
-            .is_some_and(|union| self.inc.patch_groups_into(union, &mut parts.groups));
-        if !build.groups_patched {
-            self.inc.snapshot_into(&mut parts.groups);
-        }
-
-        let csr_started = Instant::now();
-        let patched = incremental && self.inc.patch_csr_into(&delta, prev.csr(), &mut parts.csr);
+        // Group set: patch the previous epoch's links onto the recycled
+        // buffer, or rebuild them when the group universe changed shape.
+        let groups_started = Instant::now();
+        let patched = incremental
+            && self
+                .inc
+                .patch_into(&delta, prev.groups(), &mut parts.groups);
         if patched {
-            build.csr_patch_micros = elapsed_micros(csr_started);
+            build.csr_patch_micros = elapsed_micros(groups_started);
         } else {
-            self.inc.snapshot_csr_into(&mut parts.csr);
-            build.full_rebuild_micros = elapsed_micros(csr_started);
+            self.inc.snapshot_into(&mut parts.groups);
+            build.full_rebuild_micros = elapsed_micros(groups_started);
         }
         build.patched = patched;
 
@@ -947,7 +926,8 @@ impl RepositoryWriter {
         // recycled copy (O(batch) instead of O(users)), falling back to
         // the allocation-reusing full copy.
         build.repo_replayed = incremental
-            && base_epoch
+            && parts
+                .epoch
                 .is_some_and(|e| self.replay_repo_since(e, batch_log.as_deref(), &mut parts.repo));
         let repo = if build.repo_replayed {
             std::mem::take(&mut parts.repo)
@@ -962,8 +942,6 @@ impl RepositoryWriter {
         if incremental {
             self.history.push_back(PublishRecord {
                 epoch: self.epoch,
-                patchable: delta.patchable(),
-                dirty_slots: delta.dirty_slots().to_vec(),
                 updates: batch_log,
             });
             if self.history.len() > HISTORY_CAP {
@@ -977,7 +955,6 @@ impl RepositoryWriter {
             SnapshotParts {
                 repo,
                 groups: std::mem::take(&mut parts.groups),
-                csr: std::mem::take(&mut parts.csr),
                 carried,
                 build,
             },
@@ -990,40 +967,6 @@ impl RepositoryWriter {
         self.stats.record(build);
         self.dirty = false;
         self.epoch
-    }
-
-    /// The ascending, deduplicated dirty-slot union of every epoch in
-    /// `(base_epoch, current)` plus the current `delta` — `None` when the
-    /// history does not contiguously cover the span or any epoch in it
-    /// (including the current one) changed the group universe.
-    fn dirty_union_since(
-        &self,
-        base_epoch: u64,
-        delta: &EpochDelta,
-    ) -> Option<Vec<(PropertyId, BucketIdx)>> {
-        if !delta.patchable() {
-            return None;
-        }
-        let mut union: Vec<(PropertyId, BucketIdx)> = delta.dirty_slots().to_vec();
-        // `self.epoch` is already the epoch being published; walk the
-        // records of `base_epoch + 1 ..= self.epoch - 1`, newest first.
-        let mut expected = self.epoch.checked_sub(1)?;
-        for rec in self.history.iter().rev() {
-            if expected == base_epoch {
-                break;
-            }
-            if rec.epoch != expected || !rec.patchable {
-                return None;
-            }
-            union.extend_from_slice(&rec.dirty_slots);
-            expected = expected.checked_sub(1)?;
-        }
-        if expected != base_epoch {
-            return None;
-        }
-        union.sort_unstable();
-        union.dedup();
-        Some(union)
     }
 
     /// Replays the logged update batches of `(base_epoch, current]` onto
@@ -1105,7 +1048,6 @@ impl RepositoryWriter {
                         self.recycled.push(RecycledParts {
                             epoch: Some(owned.epoch),
                             groups: owned.groups,
-                            csr: owned.csr,
                             repo: owned.repo,
                         });
                     }
@@ -1188,8 +1130,7 @@ mod tests {
             w.publish();
         }
         let build = *store.load().build_stats();
-        assert!(build.patched, "CSR was patched");
-        assert!(build.groups_patched, "group set was patched in place");
+        assert!(build.patched, "group set was patched");
         assert!(build.repo_replayed, "repository was caught up by replay");
 
         // An unpatchable publish (new user) falls back everywhere but
@@ -1203,7 +1144,6 @@ mod tests {
         w.publish();
         let build = *store.load().build_stats();
         assert!(!build.patched);
-        assert!(!build.groups_patched);
         assert!(build.repo_replayed, "replay survives user creation");
         assert_eq!(
             store.load().user_names(&[UserId::from_index(6)]),
@@ -1227,7 +1167,7 @@ mod tests {
             w.publish();
         }
         let build = *store.load().build_stats();
-        assert!(build.patched && build.groups_patched && build.repo_replayed);
+        assert!(build.patched && build.repo_replayed);
     }
 
     /// `validate` must agree with `apply` on every failure mode, or the
@@ -1299,8 +1239,7 @@ mod tests {
             CovScheme::Single,
             3,
         );
-        let csr = CsrGraph::from_group_set(snap.groups());
-        let reference = lazy_select_csr(&inst, &csr, 3, None);
+        let reference = lazy_select_csr(&inst, snap.csr(), 3, None);
         assert_eq!(outcome.selection, reference);
         assert_eq!(outcome.names.len(), 3);
     }
@@ -1359,14 +1298,7 @@ mod tests {
         let seed = seed_repo();
         let buckets = BucketingConfig::paper_default().bucketize(&seed);
         let batch = GroupSet::build(snap.repo(), &buckets);
-        assert_eq!(snap.groups().len(), batch.len());
-        for ((_, a), (_, b)) in snap.groups().iter().zip(batch.iter()) {
-            assert_eq!(a.members, b.members);
-            assert_eq!(a.kind, b.kind);
-        }
-        // CSR mirrors the group set.
-        assert_eq!(snap.csr().group_count(), snap.groups().len());
-        assert_eq!(snap.csr().user_count(), snap.groups().user_count());
+        assert_eq!(snap.groups(), &batch);
     }
 
     #[test]
@@ -1493,8 +1425,10 @@ mod tests {
             CovScheme::Single,
             2,
         );
-        let csr = CsrGraph::from_group_set(snap.groups());
-        assert_eq!(after.selection, lazy_select_csr(&rebuilt, &csr, 2, None));
+        assert_eq!(
+            after.selection,
+            lazy_select_csr(&rebuilt, snap.csr(), 2, None)
+        );
     }
 
     /// Budget-1 LBS select over [`seed_repo`]: Alice wins (covers the

@@ -56,6 +56,26 @@ fn assert_bit_identical(
     Ok(())
 }
 
+/// The storage invariants every `GroupSet` constructor keeps: the link
+/// graph validates, membership and reverse links agree in both
+/// directions, and a user outside the set has no links.
+fn assert_links_consistent(
+    set: &GroupSet,
+) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert_eq!(set.csr().validate(), Ok(()));
+    prop_assert_eq!(set.csr().group_count(), set.len());
+    for u in (0..set.user_count()).map(UserId::from_index) {
+        for (g, group) in set.iter() {
+            prop_assert_eq!(group.contains(u), set.groups_of(u).contains(&g));
+        }
+    }
+    prop_assert!(set
+        .groups_of(UserId::from_index(set.user_count()))
+        .is_empty());
+    prop_assert!(set.groups_of(UserId(u32::MAX)).is_empty());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -468,7 +488,7 @@ proptest! {
         }
         // Reverse links are consistent.
         for (gid, g) in pruned.iter() {
-            for &u in &g.members {
+            for &u in g.members {
                 prop_assert!(pruned.groups_of(u).contains(&gid));
             }
         }
@@ -477,6 +497,75 @@ proptest! {
             let expected = groups.iter().filter(|(_, g)| g.size() >= min_size).count();
             prop_assert_eq!(pruned.len(), expected);
         }
+    }
+
+    /// Every `GroupSet` constructor stores one consistent user ↔ group
+    /// link graph, and `add_complex` equals `from_memberships` with the
+    /// evaluated expression appended.
+    #[test]
+    fn group_set_constructors_keep_one_consistent_link_graph(
+        (users, memberships, _w, _c) in instance_strategy(8, 8),
+        scores in prop::collection::vec(prop::option::of(0.0f64..=1.0), 24),
+        updates in prop::collection::vec(
+            (0usize..8, 0usize..3, prop::option::of(0.0f64..=1.0)),
+            0..12,
+        ),
+        min_size in 0usize..4,
+        cap in prop::option::of(1usize..6),
+        picks in (0usize..8, 0usize..8),
+    ) {
+        use podium::core::incremental::IncrementalGroups;
+
+        // Repository-backed constructors: `users` users, 3 properties.
+        let mut repo = UserRepository::new();
+        let props: Vec<PropertyId> = (0..3)
+            .map(|p| repo.intern_property(format!("p{p}")))
+            .collect();
+        for i in 0..users {
+            repo.add_user(format!("u{i}"));
+        }
+        for (i, score) in scores.iter().enumerate() {
+            if let (true, Some(s)) = (i / 3 < users, score) {
+                repo.set_score(UserId::from_index(i / 3), props[i % 3], *s).unwrap();
+            }
+        }
+        let buckets = BucketingConfig {
+            strategy: BucketStrategy::FixedEdges(vec![0.4, 0.65]),
+            buckets_per_property: 3,
+            detect_boolean: false,
+        }
+        .bucketize(&repo);
+        let built = GroupSet::build(&repo, &buckets);
+        assert_links_consistent(&built)?;
+        assert_links_consistent(&GroupSet::build_filtered(&repo, &buckets, &|p| p != props[1]))?;
+        let mut inc = IncrementalGroups::build(&repo, &buckets);
+        prop_assert_eq!(&inc.snapshot(), &built);
+        for (u, p, score) in updates {
+            if u < users {
+                inc.update_score(UserId::from_index(u), props[p], score);
+            }
+        }
+        assert_links_consistent(&inc.snapshot())?;
+
+        // Membership-backed constructors.
+        let groups = build_groups(users, &memberships);
+        assert_links_consistent(&groups)?;
+        assert_links_consistent(&groups.prune(min_size, cap))?;
+        let a = GroupExpr::Group(GroupId::from_index(picks.0 % groups.len()));
+        let b = GroupExpr::Group(GroupId::from_index(picks.1 % groups.len()));
+        let mut extended = groups.clone();
+        let mut expected: Vec<Vec<UserId>> = groups.iter().map(|(_, g)| g.members.to_vec()).collect();
+        for expr in [
+            GroupExpr::And(vec![a.clone(), b.clone()]),
+            GroupExpr::Or(vec![a, b]),
+        ] {
+            expected.push(expr.evaluate(&extended).unwrap());
+            let label = format!("G{}", extended.len());
+            let id = extended.add_complex(label, &expr).unwrap();
+            prop_assert_eq!(id.index() + 1, expected.len());
+            assert_links_consistent(&extended)?;
+        }
+        prop_assert_eq!(extended, GroupSet::from_memberships(users, expected));
     }
 
     /// EBS-weighted greedy always covers the largest coverable group first:
