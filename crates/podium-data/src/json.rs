@@ -14,8 +14,10 @@
 //! ```
 
 use std::collections::{BTreeMap, HashSet};
+use std::fmt::Write as _;
 
 use podium_core::error::{CoreError, Result};
+use podium_core::ids::PropertyId;
 use podium_core::profile::UserRepository;
 use serde::{Deserialize, Serialize};
 
@@ -58,20 +60,113 @@ pub fn profiles_from_json(text: &str) -> std::result::Result<UserRepository, Jso
 
 /// Serializes a repository to the JSON interchange format (pretty-printed,
 /// deterministic key order).
+///
+/// Writes in one pass the exact bytes `serde_json::to_string_pretty`
+/// produces for the [`JsonRepository`] of `repo`: users in id order,
+/// each profile's keys in label order (the `BTreeMap` order of
+/// [`JsonUser::properties`]), scores with `{:?}`. No per-user map or
+/// value tree is built; each label is escaped once per call.
 pub fn profiles_to_json(repo: &UserRepository) -> std::result::Result<String, JsonError> {
-    let mut doc = JsonRepository::default();
-    for (u, profile) in repo.iter() {
-        let mut properties = BTreeMap::new();
-        for (p, s) in profile.iter() {
-            let label = repo.property_label(p).map_err(JsonError::Core)?.to_owned();
-            properties.insert(label, s);
-        }
-        doc.users.push(JsonUser {
-            name: repo.user_name(u).map_err(JsonError::Core)?.to_owned(),
-            properties,
-        });
+    if repo.user_count() == 0 {
+        return Ok("{\n  \"users\": []\n}".to_owned());
     }
-    Ok(serde_json::to_string_pretty(&doc)?)
+    // Labels are interned, hence distinct: a property's rank in label
+    // order is its key's position in every profile. `keys` holds
+    // `(property, rank, escaped label)` in property-id order.
+    let mut by_label = (0..repo.property_count())
+        .map(|i| {
+            repo.property_label(PropertyId::from_index(i))
+                .map(|l| (l, i))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    by_label.sort_unstable();
+    let mut keys: Vec<(usize, usize, String)> = by_label
+        .iter()
+        .enumerate()
+        .map(|(rank, &(label, p))| (p, rank, JsonStr(label).to_string()))
+        .collect();
+    keys.sort_unstable_by_key(|&(p, _, _)| p);
+
+    let mut out = String::with_capacity(64 * repo.user_count());
+    let mut entries: Vec<(usize, &str, f64)> = Vec::new();
+    out.push_str("{\n  \"users\": [\n");
+    for (i, (u, profile)) in repo.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        out.push_str("    {\n      \"name\": ");
+        push_display(&mut out, JsonStr(repo.user_name(u)?));
+        out.push_str(",\n      \"properties\": ");
+        entries.clear();
+        for (p, score) in profile.iter() {
+            let (_, rank, key) = keys.get(p.index()).ok_or(CoreError::UnknownProperty(p))?;
+            entries.push((*rank, key, score));
+        }
+        entries.sort_unstable_by_key(|&(rank, _, _)| rank);
+        if entries.is_empty() {
+            out.push_str("{}");
+        } else {
+            out.push_str("{\n");
+            for (j, &(_, key, score)) in entries.iter().enumerate() {
+                if j > 0 {
+                    out.push_str(",\n");
+                }
+                out.push_str("        ");
+                out.push_str(key);
+                // Scores are finite (`Profile::set` rejects the rest), so
+                // `{:?}` is exactly the vendored writer's number format.
+                push_display(&mut out, format_args!(": {score:?}"));
+            }
+            out.push_str("\n      }");
+        }
+        out.push_str("\n    }");
+    }
+    out.push_str("\n  ]\n}");
+    Ok(out)
+}
+
+/// Appends `value`'s `Display` output to `out` without an intermediate
+/// `String`.
+fn push_display(out: &mut String, value: impl std::fmt::Display) {
+    // podium-lint: allow(discarded-result) — fmt::Write into a String cannot fail
+    let _ = write!(out, "{value}");
+}
+
+/// Displays a string as a JSON string literal: quoted, with the escapes
+/// the vendored `serde_json` writer emits (`\"`, `\\`, `\n`, `\r`, `\t`,
+/// and `\u00XX` for the other control characters; everything else is
+/// copied as is). Each run of unescaped bytes goes to the formatter in
+/// one `write_str`, so it streams into a `String` or, through `write!`,
+/// into any `io::Write` without an intermediate copy.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonStr<'a>(pub &'a str);
+
+impl std::fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("\"")?;
+        let mut rest = self.0;
+        // Only ASCII bytes are escaped, so `at` is a char boundary.
+        while let Some(at) = rest
+            .bytes()
+            .position(|b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+        {
+            let (run, tail) = rest.split_at(at);
+            f.write_str(run)?;
+            let mut chars = tail.chars();
+            match chars.next() {
+                Some('"') => f.write_str("\\\"")?,
+                Some('\\') => f.write_str("\\\\")?,
+                Some('\n') => f.write_str("\\n")?,
+                Some('\r') => f.write_str("\\r")?,
+                Some('\t') => f.write_str("\\t")?,
+                Some(c) => write!(f, "\\u{:04x}", u32::from(c))?,
+                None => {}
+            }
+            rest = chars.as_str();
+        }
+        f.write_str(rest)?;
+        f.write_str("\"")
+    }
 }
 
 /// Source tag used in [`Provenance`] entries of this loader.

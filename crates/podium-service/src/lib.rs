@@ -34,7 +34,7 @@
 //!   atomic checkpoint files, and a startup recovery path that loads the
 //!   newest valid checkpoint, replays the WAL suffix through the ordinary
 //!   publish path, and quarantines torn tails instead of panicking;
-//! * [`bench`] — the seeded synthetic repository the serving tests and
+//! * [`bench`](mod@bench) — the seeded synthetic repository the serving tests and
 //!   the `perfbench/` benchmark load.
 //!
 //! The crate is embeddable: [`service::PodiumService`] is an ordinary

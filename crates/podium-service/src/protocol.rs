@@ -13,6 +13,22 @@
 //! | `update-profile` | `user`, `property`, `score` (number or `null` to retract)     |
 //! | `stats`          | —                                                             |
 //!
+//! The `stats` response's durability fields read 0 when the service runs
+//! without a data directory. Counters are deterministic for a given
+//! update sequence; the two timings are not, and describe only the last
+//! checkpoint written:
+//!
+//! | field                      | kind    | meaning                                                   |
+//! |----------------------------|---------|-----------------------------------------------------------|
+//! | `wal_bytes`                | gauge   | valid WAL bytes (recovered prefix + this run's appends)   |
+//! | `last_checkpoint_epoch`    | gauge   | epoch of the newest checkpoint (this run's, else recovered)|
+//! | `recovery_replayed`        | count   | WAL frames replayed at startup                            |
+//! | `checkpoint_failures`      | counter | failed checkpoint attempts; `checkpoint_last_error` (present once one failed) holds the latest message |
+//! | `checkpoints_written`      | counter | checkpoints the checkpoint thread wrote this run          |
+//! | `checkpoints_coalesced`    | counter | due checkpoints replaced, unstarted, by a newer one       |
+//! | `checkpoint_encode_micros` | timing  | encoding the repository for the last written checkpoint   |
+//! | `checkpoint_write_micros`  | timing  | writing, syncing and renaming the last checkpoint's file  |
+//!
 //! Every response carries `ok` (boolean) and, on success, the `epoch` the
 //! request was served from. Failures carry a stable `error` code (see
 //! [`crate::error::ServiceError::code`]) and a human-readable `message`.

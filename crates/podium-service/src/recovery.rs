@@ -6,7 +6,11 @@
 //! * `checkpoint-<seq>.json` — periodic full serializations of the
 //!   repository plus the epoch and WAL sequence they are current through,
 //!   written to a tmp file, fsynced, and atomically renamed into place
-//!   (the two newest generations are kept);
+//!   (the two newest generations are kept). The live service takes each
+//!   one from an already-published, immutable snapshot on its checkpoint
+//!   thread, so the writer lock is not held while it is encoded and
+//!   written; [`write_checkpoint`] streams the file without building a
+//!   value tree;
 //! * `wal.quarantine` — torn or semantically invalid tails recovery
 //!   truncated off the log, preserved for inspection instead of deleted.
 //!
@@ -30,16 +34,16 @@
 
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use podium_core::bucket::PropertyBuckets;
 use podium_core::profile::UserRepository;
+use podium_data::json::JsonStr;
 use serde_json::Value;
 
 use crate::error::ServiceError;
-use crate::protocol::{num_u64, string};
 use crate::snapshot::{PublishMode, RepositoryWriter, SnapshotStore};
 use crate::wal::{frame_checksum, scan_frames, WalFrame, QUARANTINE_FILE, WAL_FILE};
 
@@ -110,34 +114,38 @@ pub fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("checkpoint-{seq}.json"))
 }
 
-/// Serializes and durably writes a checkpoint: tmp file, fsync, atomic
-/// rename, best-effort directory fsync, then prune to
-/// [`CHECKPOINT_GENERATIONS`]. `profiles_json` is the repository as
-/// serialized by `podium_data::json::profiles_to_json`.
+/// Durably writes a checkpoint: tmp file, fsync, atomic rename,
+/// best-effort directory fsync, then prune to [`CHECKPOINT_GENERATIONS`].
+/// `profiles_json` is the repository as serialized by
+/// `podium_data::json::profiles_to_json`.
+///
+/// The file is the compact JSON object
+/// `{"seq":…,"epoch":…,"crc":…,"profiles":"…"}`, where `crc` is the
+/// [`frame_checksum`] of `profiles_json`. It streams into the tmp file:
+/// the header is formatted directly and the payload is escaped run by
+/// run, so no second copy of the multi-megabyte document is built.
 pub fn write_checkpoint(
     dir: &Path,
     seq: u64,
     epoch: u64,
     profiles_json: &str,
 ) -> Result<(), ServiceError> {
-    let object = Value::Object(vec![
-        ("seq".to_owned(), num_u64(seq)),
-        ("epoch".to_owned(), num_u64(epoch)),
-        (
-            "crc".to_owned(),
-            num_u64(frame_checksum(profiles_json.as_bytes())),
-        ),
-        ("profiles".to_owned(), string(profiles_json)),
-    ]);
-    // podium-lint: allow(expect) — Value trees of strings/numbers always serialize
-    let text = serde_json::to_string(&object).expect("checkpoint serialization is infallible");
+    let crc = frame_checksum(profiles_json.as_bytes());
     let final_path = checkpoint_path(dir, seq);
     let tmp_path = dir.join(format!("checkpoint-{seq}.json.tmp"));
     {
-        let mut tmp =
-            File::create(&tmp_path).map_err(|e| durability_err("create", &tmp_path, e))?;
-        tmp.write_all(text.as_bytes())
-            .map_err(|e| durability_err("write", &tmp_path, e))?;
+        let tmp = File::create(&tmp_path).map_err(|e| durability_err("create", &tmp_path, e))?;
+        let mut out = BufWriter::new(tmp);
+        write!(
+            out,
+            "{{\"seq\":{seq},\"epoch\":{epoch},\"crc\":{crc},\"profiles\":{}}}",
+            JsonStr(profiles_json)
+        )
+        .map_err(|e| durability_err("write", &tmp_path, e))?;
+        // `into_inner` flushes and reports what a dropped buffer would lose.
+        let tmp = out
+            .into_inner()
+            .map_err(|e| durability_err("write", &tmp_path, e.into_error()))?;
         tmp.sync_data()
             .map_err(|e| durability_err("fsync", &tmp_path, e))?;
     }
@@ -654,6 +662,45 @@ mod tests {
         assert_eq!(r3.replayed_frames, 1);
         assert_eq!(r3.recovered_epoch, 3);
         assert!(w3.repo().user_by_name("dave").is_some());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The envelope `write_checkpoint` wrote through a value tree before
+    /// it streamed; kept as the byte-identity oracle.
+    fn value_envelope(seq: u64, epoch: u64, profiles: &str) -> String {
+        use crate::protocol::{num_u64, string};
+        let object = Value::Object(vec![
+            ("seq".to_owned(), num_u64(seq)),
+            ("epoch".to_owned(), num_u64(epoch)),
+            (
+                "crc".to_owned(),
+                num_u64(frame_checksum(profiles.as_bytes())),
+            ),
+            ("profiles".to_owned(), string(profiles)),
+        ]);
+        serde_json::to_string(&object).unwrap()
+    }
+
+    #[test]
+    fn checkpoint_bytes_equal_the_value_envelope() {
+        let dir = temp_dir("envelope");
+        let (repo, _) = fixture();
+        let profiles = podium_data::json::profiles_to_json(&repo).unwrap();
+        // Ascending seqs, so pruning never removes the file just written.
+        let cases = [
+            (1, 0, ""),
+            (7, 3, "q\" b\\ n\n r\r t\t c\u{1} u\u{1f} d\u{7f} é 😀 /"),
+            (u64::MAX, u64::MAX, profiles.as_str()),
+        ];
+        for (seq, epoch, payload) in cases {
+            write_checkpoint(&dir, seq, epoch, payload).unwrap();
+            let written = fs::read(checkpoint_path(&dir, seq)).unwrap();
+            assert_eq!(
+                written,
+                value_envelope(seq, epoch, payload).into_bytes(),
+                "seq {seq}"
+            );
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,7 +25,7 @@ use crate::recovery::{self, DurabilityOptions, RecoveryReport};
 use crate::session::SessionManager;
 use crate::snapshot::{
     ProfileUpdate, PublishMode, RepositoryWriter, SelectConstraints, SelectOutcome, SelectParams,
-    SnapshotStore,
+    Snapshot, SnapshotStore,
 };
 use crate::wal::WalWriter;
 
@@ -127,28 +127,58 @@ impl CacheCounters {
 }
 
 /// The mutable half of the durability subsystem: the WAL appender and the
-/// checkpoint cadence. Guarded by one mutex; every holder already holds
+/// checkpoint cadence. Guarded by one mutex; every appender already holds
 /// the writer lock (lock order: writer → durability), so WAL appends are
-/// serialized in the same order updates are applied.
+/// serialized in the same order updates are applied. The checkpoint
+/// thread takes this lock alone, only to sync the WAL.
 #[derive(Debug)]
 struct DurabilityState {
     wal: WalWriter,
-    dir: PathBuf,
     /// Frames between checkpoints; `0` disables periodic checkpoints.
     checkpoint_every: u64,
     frames_since_checkpoint: u64,
 }
 
-/// Shared durability handle: WAL + checkpoints behind a mutex, and the
-/// lock-free counters the `stats` op reads.
+/// A checkpoint handed from the writer to the checkpoint thread: the WAL
+/// sequence it covers and the published snapshot holding exactly that
+/// state. The snapshot is immutable, so encoding it needs no lock.
+#[derive(Debug)]
+struct CheckpointJob {
+    seq: u64,
+    snapshot: Arc<Snapshot>,
+}
+
+/// Single-slot mailbox between the writer and the checkpoint thread.
+#[derive(Debug, Default)]
+struct Mailbox {
+    /// The next checkpoint to write; a newer one replaces it unstarted.
+    pending: Option<CheckpointJob>,
+    /// The thread is writing a checkpoint it took from `pending`.
+    busy: bool,
+    /// The service is shutting down: drain `pending`, then exit.
+    stop: bool,
+}
+
+/// Shared durability handle: WAL + checkpoint cadence behind a mutex, the
+/// checkpoint thread's mailbox, and the lock-free counters the `stats`
+/// op reads.
 #[derive(Debug)]
 pub struct DurabilityHandle {
     inner: Mutex<DurabilityState>,
+    dir: PathBuf,
+    /// Lock order: writer → mailbox; never held with `inner`.
+    mailbox: Mutex<Mailbox>,
+    /// Signals a posted job, a finished job, and shutdown.
+    mailbox_cv: Condvar,
     wal_bytes: AtomicU64,
     last_checkpoint_epoch: AtomicU64,
     recovery_replayed: AtomicU64,
     checkpoint_failures: AtomicU64,
     last_checkpoint_error: Mutex<Option<String>>,
+    checkpoints_written: AtomicU64,
+    checkpoints_coalesced: AtomicU64,
+    checkpoint_encode_micros: AtomicU64,
+    checkpoint_write_micros: AtomicU64,
 }
 
 impl DurabilityHandle {
@@ -181,15 +211,78 @@ impl DurabilityHandle {
         poison::recover(self.last_checkpoint_error.lock()).clone()
     }
 
-    /// [`DurabilityHandle::maybe_checkpoint`] with failures recorded
-    /// instead of propagated: a failed checkpoint costs recovery time,
-    /// never durability (the WAL has everything), so the live path keeps
+    /// Checkpoints written this run.
+    pub fn checkpoints_written(&self) -> u64 {
+        self.checkpoints_written.load(Ordering::Relaxed)
+    }
+
+    /// Due checkpoints dropped unstarted because a newer one replaced
+    /// them in the mailbox. Without failures, written plus coalesced is
+    /// the number of due points.
+    pub fn checkpoints_coalesced(&self) -> u64 {
+        self.checkpoints_coalesced.load(Ordering::Relaxed)
+    }
+
+    /// Microseconds the last written checkpoint spent encoding the
+    /// repository.
+    pub fn checkpoint_encode_micros(&self) -> u64 {
+        self.checkpoint_encode_micros.load(Ordering::Relaxed)
+    }
+
+    /// Microseconds the last written checkpoint spent writing, syncing
+    /// and renaming its file.
+    pub fn checkpoint_write_micros(&self) -> u64 {
+        self.checkpoint_write_micros.load(Ordering::Relaxed)
+    }
+
+    /// Blocks until the checkpoint thread has no pending job and is not
+    /// writing one, so tests can read checkpoint state deterministically.
+    pub fn wait_for_checkpoints(&self) {
+        let mut mailbox = poison::recover(self.mailbox.lock());
+        while mailbox.busy || mailbox.pending.is_some() {
+            mailbox = poison::recover(self.mailbox_cv.wait(mailbox));
+        }
+    }
+
+    fn record_failure(&self, e: &ServiceError) {
+        self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+        *poison::recover(self.last_checkpoint_error.lock()) = Some(e.to_string());
+    }
+
+    /// Hands a checkpoint to the checkpoint thread when the cadence says
+    /// so. The caller holds the writer lock right after a publish, so the
+    /// published snapshot holds exactly the state at the WAL's current
+    /// sequence; capturing it costs an `Arc` clone, and the encoding and
+    /// file I/O happen on the checkpoint thread. Failures are recorded,
+    /// not propagated: a failed checkpoint costs recovery time, never
+    /// durability (the WAL has everything), so the live path keeps
     /// serving and surfaces the stall through the `stats` op.
     fn checkpoint_if_due(&self, writer: &RepositoryWriter) {
-        if let Err(e) = self.maybe_checkpoint(writer) {
-            self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-            *poison::recover(self.last_checkpoint_error.lock()) = Some(e.to_string());
+        let seq = match self.take_due_seq() {
+            Ok(Some(seq)) => seq,
+            Ok(None) => return,
+            Err(e) => return self.record_failure(&e),
+        };
+        let job = CheckpointJob {
+            seq,
+            snapshot: writer.store().load(),
+        };
+        let mut mailbox = poison::recover(self.mailbox.lock());
+        if mailbox.pending.replace(job).is_some() {
+            self.checkpoints_coalesced.fetch_add(1, Ordering::Relaxed);
         }
+        self.mailbox_cv.notify_all();
+    }
+
+    /// The WAL sequence a due checkpoint covers, resetting the cadence;
+    /// `None` when no checkpoint is due.
+    fn take_due_seq(&self) -> Result<Option<u64>, ServiceError> {
+        let mut state = poison::checked(self.inner.lock())?;
+        if state.checkpoint_every == 0 || state.frames_since_checkpoint < state.checkpoint_every {
+            return Ok(None);
+        }
+        state.frames_since_checkpoint = 0;
+        Ok(Some(state.wal.next_seq().saturating_sub(1)))
     }
 
     /// Appends one accepted update as a WAL frame and fsyncs per policy.
@@ -205,24 +298,89 @@ impl DurabilityHandle {
         Ok(())
     }
 
-    /// Writes a checkpoint when the cadence says so. The caller holds the
-    /// writer lock, so the serialized repository is exactly the state at
-    /// the WAL's current sequence. Syncs the WAL first so a checkpoint
-    /// never claims coverage of frames that were still in page cache.
-    fn maybe_checkpoint(&self, writer: &RepositoryWriter) -> Result<(), ServiceError> {
-        let mut state = poison::checked(self.inner.lock())?;
-        if state.checkpoint_every == 0 || state.frames_since_checkpoint < state.checkpoint_every {
-            return Ok(());
-        }
-        state.wal.sync()?;
-        let profiles = podium_data::json::profiles_to_json(writer.repo())
+    /// Writes one checkpoint on the checkpoint thread. Syncs the WAL
+    /// first — holding the durability lock for that call only — so a
+    /// checkpoint never claims coverage of frames still in page cache.
+    fn write_checkpoint(&self, job: &CheckpointJob) -> Result<(), ServiceError> {
+        poison::checked(self.inner.lock())?.wal.sync()?;
+        let started = Instant::now();
+        let profiles = podium_data::json::profiles_to_json(job.snapshot.repo())
             .map_err(|e| ServiceError::Durability(format!("serialize checkpoint: {e}")))?;
-        let seq = state.wal.next_seq().saturating_sub(1);
-        recovery::write_checkpoint(&state.dir, seq, writer.epoch(), &profiles)?;
-        state.frames_since_checkpoint = 0;
-        self.last_checkpoint_epoch
-            .store(writer.epoch(), Ordering::Relaxed);
+        let encoded = Instant::now();
+        let epoch = job.snapshot.epoch();
+        recovery::write_checkpoint(&self.dir, job.seq, epoch, &profiles)?;
+        self.checkpoint_encode_micros
+            .store(micros(encoded - started), Ordering::Relaxed);
+        self.checkpoint_write_micros
+            .store(micros(encoded.elapsed()), Ordering::Relaxed);
+        self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+        self.last_checkpoint_epoch.store(epoch, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// The checkpoint thread's loop: write each posted job, then drain
+    /// whatever is pending once shutdown is signalled, and exit.
+    fn run_checkpoints(&self) {
+        loop {
+            let job = {
+                let mut mailbox = poison::recover(self.mailbox.lock());
+                loop {
+                    if let Some(job) = mailbox.pending.take() {
+                        mailbox.busy = true;
+                        break job;
+                    }
+                    if mailbox.stop {
+                        return;
+                    }
+                    mailbox = poison::recover(self.mailbox_cv.wait(mailbox));
+                }
+            };
+            if let Err(e) = self.write_checkpoint(&job) {
+                self.record_failure(&e);
+            }
+            // Release the snapshot before reporting idle, so a waiter
+            // never sees the thread idle while it still pins an epoch.
+            drop(job);
+            poison::recover(self.mailbox.lock()).busy = false;
+            self.mailbox_cv.notify_all();
+        }
+    }
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// The checkpoint thread of a durable service. Dropping it writes the
+/// in-flight and any pending checkpoint, then joins the thread, so a
+/// clean shutdown leaves the newest due checkpoint on disk.
+#[derive(Debug)]
+struct Checkpointer {
+    durability: Arc<DurabilityHandle>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl Checkpointer {
+    fn spawn(durability: Arc<DurabilityHandle>) -> Result<Self, ServiceError> {
+        let worker = Arc::clone(&durability);
+        let handle = std::thread::Builder::new()
+            .name("podium-checkpoint".to_owned())
+            .spawn(move || worker.run_checkpoints())
+            .map_err(|e| ServiceError::Durability(format!("spawn checkpoint thread: {e}")))?;
+        Ok(Self {
+            durability,
+            handle: Some(handle),
+        })
+    }
+}
+
+impl Drop for Checkpointer {
+    fn drop(&mut self) {
+        poison::recover(self.durability.mailbox.lock()).stop = true;
+        self.durability.mailbox_cv.notify_all();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -290,6 +448,9 @@ pub struct PodiumService {
     /// Joined (and thereby stopped) on drop; `None` under
     /// [`PublishPolicy::Immediate`].
     _flusher: Option<Flusher>,
+    /// Writes checkpoints off the writer lock; drained and joined on
+    /// drop, after the flusher. `None` when running volatile.
+    _checkpointer: Option<Checkpointer>,
 }
 
 /// The select parameters the publish-time warming pass pre-computes.
@@ -338,17 +499,26 @@ impl PodiumService {
         let handle = Arc::new(DurabilityHandle {
             inner: Mutex::new(DurabilityState {
                 wal,
-                dir: opts.data_dir,
                 checkpoint_every: opts.checkpoint_every,
                 frames_since_checkpoint: 0,
             }),
+            dir: opts.data_dir,
+            mailbox: Mutex::new(Mailbox::default()),
+            mailbox_cv: Condvar::new(),
             wal_bytes: AtomicU64::new(report.wal_bytes),
             last_checkpoint_epoch: AtomicU64::new(report.checkpoint_epoch),
             recovery_replayed: AtomicU64::new(report.replayed_frames),
             checkpoint_failures: AtomicU64::new(0),
             last_checkpoint_error: Mutex::new(None),
+            checkpoints_written: AtomicU64::new(0),
+            checkpoints_coalesced: AtomicU64::new(0),
+            checkpoint_encode_micros: AtomicU64::new(0),
+            checkpoint_write_micros: AtomicU64::new(0),
         });
-        Ok((Self::assemble(store, writer, config, Some(handle)), report))
+        let checkpointer = Checkpointer::spawn(Arc::clone(&handle))?;
+        let mut service = Self::assemble(store, writer, config, Some(handle));
+        service._checkpointer = Some(checkpointer);
+        Ok((service, report))
     }
 
     fn assemble(
@@ -388,6 +558,7 @@ impl PodiumService {
             durability,
             peers: Mutex::new(Vec::new()),
             _flusher: flusher,
+            _checkpointer: None,
         }
     }
 
@@ -739,18 +910,10 @@ impl PodiumService {
                         })
                         .collect(),
                 );
-                let (wal_bytes, last_checkpoint_epoch, recovery_replayed, checkpoint_failures) =
-                    self.durability
-                        .as_ref()
-                        .map(|d| {
-                            (
-                                d.wal_bytes(),
-                                d.last_checkpoint_epoch(),
-                                d.recovery_replayed(),
-                                d.checkpoint_failures(),
-                            )
-                        })
-                        .unwrap_or_default();
+                // Durability figures read 0 when running volatile.
+                let durable = |stat: fn(&DurabilityHandle) -> u64| {
+                    num_u64(self.durability.as_deref().map_or(0, stat))
+                };
                 let checkpoint_error = self
                     .durability
                     .as_ref()
@@ -792,10 +955,37 @@ impl PodiumService {
                     ),
                     ("publish_p50_micros", num_u64(publish_p50)),
                     ("publish_p99_micros", num_u64(publish_p99)),
-                    ("wal_bytes", num_u64(wal_bytes)),
-                    ("last_checkpoint_epoch", num_u64(last_checkpoint_epoch)),
-                    ("recovery_replayed", num_u64(recovery_replayed)),
-                    ("checkpoint_failures", num_u64(checkpoint_failures)),
+                    ("wal_bytes", durable(DurabilityHandle::wal_bytes)),
+                    (
+                        "last_checkpoint_epoch",
+                        durable(DurabilityHandle::last_checkpoint_epoch),
+                    ),
+                    (
+                        "recovery_replayed",
+                        durable(DurabilityHandle::recovery_replayed),
+                    ),
+                    (
+                        "checkpoint_failures",
+                        durable(DurabilityHandle::checkpoint_failures),
+                    ),
+                    (
+                        "checkpoints_written",
+                        durable(DurabilityHandle::checkpoints_written),
+                    ),
+                    (
+                        "checkpoints_coalesced",
+                        durable(DurabilityHandle::checkpoints_coalesced),
+                    ),
+                    // Timings of the last written checkpoint: they vary
+                    // from run to run, unlike the counters above.
+                    (
+                        "checkpoint_encode_micros",
+                        durable(DurabilityHandle::checkpoint_encode_micros),
+                    ),
+                    (
+                        "checkpoint_write_micros",
+                        durable(DurabilityHandle::checkpoint_write_micros),
+                    ),
                     ("peers", peers),
                 ];
                 if let Some(e) = checkpoint_error {
@@ -874,6 +1064,7 @@ pub use protocol::Request as ProtocolRequest;
 mod tests {
     use super::*;
     use podium_core::bucket::BucketingConfig;
+    use std::path::Path;
 
     fn service() -> PodiumService {
         let mut repo = UserRepository::new();
@@ -1454,6 +1645,7 @@ mod tests {
             r#"{"op":"update-profile","user":"u1","property":"avgRating Mexican","score":0.9}"#,
         ));
         assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+        svc.durability().unwrap().wait_for_checkpoints();
         let stats = parse(&svc.handle_line(r#"{"op":"stats"}"#));
         assert_eq!(
             stats.get("checkpoint_failures").and_then(Value::as_u64),
@@ -1470,6 +1662,156 @@ mod tests {
             stats.get("last_checkpoint_epoch").and_then(Value::as_u64),
             Some(0)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh data directory for one checkpoint-thread test.
+    fn checkpoint_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("podium-svc-ck-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Opens (or recovers) a durable service over `dir` with a checkpoint
+    /// every `every` frames, on the same genesis repository each time.
+    fn checkpointing_service(dir: &Path, every: u64) -> (PodiumService, RecoveryReport) {
+        let mut repo = UserRepository::new();
+        let mex = repo.intern_property("avgRating Mexican");
+        for i in 0..8 {
+            let u = repo.add_user(format!("u{i}"));
+            repo.set_score(u, mex, (i as f64) / 8.0).unwrap();
+        }
+        let buckets = BucketingConfig::paper_default().bucketize(&repo);
+        let config = ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            default_deadline_ms: 2000,
+            ..ServiceConfig::default()
+        };
+        let opts = DurabilityOptions {
+            checkpoint_every: every,
+            ..DurabilityOptions::new(dir)
+        };
+        PodiumService::with_durability(repo, &buckets, config, opts).unwrap()
+    }
+
+    /// Sends update `i` and checks it was acknowledged at epoch `i`.
+    fn send_update(svc: &PodiumService, i: u64) {
+        let resp = parse(&svc.handle_line(&format!(
+            r#"{{"op":"update-profile","user":"u{}","property":"avgRating Mexican","score":0.{i}}}"#,
+            i % 8
+        )));
+        assert_eq!(
+            resp.get("epoch").and_then(Value::as_u64),
+            Some(i),
+            "{resp:?}"
+        );
+    }
+
+    /// Spins until the checkpoint thread has taken a job off the mailbox.
+    fn wait_until_busy(d: &DurabilityHandle) {
+        while !poison::recover(d.mailbox.lock()).busy {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn checkpoint_thread_writes_the_last_due_checkpoint() {
+        let dir = checkpoint_dir("due");
+        let (every, updates) = (4, 10);
+        let (svc, _) = checkpointing_service(&dir, every);
+        for i in 1..=updates {
+            send_update(&svc, i);
+        }
+        let d = svc.durability().unwrap();
+        d.wait_for_checkpoints();
+        assert_eq!(d.last_checkpoint_epoch(), 8, "epochs 4 and 8 are due");
+        assert_eq!(d.checkpoint_failures(), 0);
+        assert_eq!(d.checkpoints_written() + d.checkpoints_coalesced(), 2);
+        let stats = parse(&svc.handle_line(r#"{"op":"stats"}"#));
+        for field in [
+            "checkpoints_written",
+            "checkpoints_coalesced",
+            "checkpoint_encode_micros",
+            "checkpoint_write_micros",
+        ] {
+            assert!(
+                stats.get(field).and_then(Value::as_u64).is_some(),
+                "{field}"
+            );
+        }
+        drop(svc);
+
+        let (_svc, report) = checkpointing_service(&dir, every);
+        assert_eq!(report.checkpoint_seq, 8);
+        assert_eq!(report.checkpoint_epoch, 8);
+        assert_eq!(report.replayed_frames, updates % every);
+        assert_eq!(report.recovered_epoch, updates);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_burst_that_outruns_the_checkpoint_thread_coalesces() {
+        let dir = checkpoint_dir("burst");
+        // The seq-1 checkpoint fails, and while the test holds the error
+        // slot the thread blocks recording that failure: every update
+        // sent meanwhile finds the mailbox's one slot taken.
+        std::fs::create_dir_all(dir.join("checkpoint-1.json.tmp")).unwrap();
+        let (svc, _) = checkpointing_service(&dir, 1);
+        let d = Arc::clone(svc.durability().unwrap());
+        let burst = 6;
+        {
+            let _blocked = d.last_checkpoint_error.lock().unwrap();
+            send_update(&svc, 1);
+            wait_until_busy(&d);
+            for i in 2..=burst {
+                send_update(&svc, i);
+            }
+        }
+        d.wait_for_checkpoints();
+        assert_eq!(d.checkpoint_failures(), 1);
+        assert_eq!(
+            d.checkpoints_coalesced(),
+            burst - 2,
+            "2..{burst} but the last"
+        );
+        assert_eq!(d.checkpoints_written(), 1);
+        assert_eq!(
+            d.checkpoints_written() + d.checkpoints_coalesced() + d.checkpoint_failures(),
+            burst,
+            "every due point is written, coalesced or failed"
+        );
+        assert_eq!(d.last_checkpoint_epoch(), burst);
+        drop(svc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropping_the_service_writes_the_pending_checkpoint() {
+        let dir = checkpoint_dir("drop");
+        std::fs::create_dir_all(dir.join("checkpoint-1.json.tmp")).unwrap();
+        let (svc, _) = checkpointing_service(&dir, 1);
+        let d = Arc::clone(svc.durability().unwrap());
+        let blocked = d.last_checkpoint_error.lock().unwrap();
+        send_update(&svc, 1);
+        wait_until_busy(&d);
+        send_update(&svc, 2);
+        // Shut down while seq 1 is in flight and seq 2 is pending; the
+        // drop may only finish once both are handled.
+        let dropper = std::thread::spawn(move || drop(svc));
+        while !poison::recover(d.mailbox.lock()).stop {
+            std::thread::yield_now();
+        }
+        assert!(poison::recover(d.mailbox.lock()).pending.is_some());
+        drop(blocked);
+        dropper.join().unwrap();
+        assert!(recovery::checkpoint_path(&dir, 2).exists());
+        assert_eq!(d.checkpoints_written(), 1);
+
+        let (_svc, report) = checkpointing_service(&dir, 1);
+        assert_eq!(report.checkpoint_seq, 2);
+        assert_eq!(report.replayed_frames, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
